@@ -87,6 +87,58 @@ class TestLi4:
             li4(z)
 
 
+def _on_circle(radius, phase):
+    return radius * complex(math.cos(phase), math.sin(phase))
+
+
+# phases of the dense grid: every pi/48, plus phases within 1e-6 of 0 and pi
+_DENSE_PHASES = [math.pi * i / 48 for i in range(-48, 49)] + [
+    sign * p
+    for sign in (1.0, -1.0)
+    for p in (1e-12, 1e-9, 1e-6, math.pi - 1e-6, math.pi - 1e-9)
+]
+
+
+class TestLi4Coverage:
+    """Both branches of li4: the defining series below |z| = 1/2, the log-series above."""
+
+    @pytest.mark.parametrize("k", range(2, 16))
+    def test_approach_to_plus_and_minus_one(self, k):
+        x = 1.0 - 10.0**-k
+        assert li4(x) == pytest.approx(mp_li4(x).real, abs=1e-13)
+        assert li4(-x) == pytest.approx(mp_li4(-x).real, abs=1e-13)
+
+    @pytest.mark.parametrize("radius", [0.9, 0.99, 0.999, 1.0])
+    def test_dense_phase_grid_against_mpmath(self, radius):
+        for phase in _DENSE_PHASES:
+            z = _on_circle(radius, phase)
+            assert li4(z) == pytest.approx(mp_li4(z), abs=1e-13), (radius, phase)
+
+    @pytest.mark.parametrize("radius", [0.5 - 1e-9, 0.5 - 1e-15, 0.5, 0.5 + 1e-15, 0.5 + 1e-9])
+    def test_across_switch_radius(self, radius):
+        for phase in [0.0, 1e-6, 0.5, 1.5, 2.5, math.pi - 1e-6, math.pi, -2.0]:
+            z = _on_circle(radius, phase)
+            assert li4(z) == pytest.approx(mp_li4(z), abs=1e-13), (radius, phase)
+        assert li4(radius) == pytest.approx(mp_li4(radius).real, abs=1e-13)
+        assert li4(-radius) == pytest.approx(mp_li4(-radius).real, abs=1e-13)
+
+    def test_conjugation_symmetry_on_log_series_branch(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            radius = rng.uniform(0.5, 1.0)
+            phase = rng.uniform(1e-9, math.pi)
+            z = _on_circle(radius, phase)
+            assert li4(z.conjugate()) == li4(z).conjugate()
+        for phase in _DENSE_PHASES:
+            z = _on_circle(1.0, phase)
+            assert li4(z.conjugate()) == li4(z).conjugate()
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, -0.3, 0.4999, -0.4999, 0.5, -0.5, 0.7, -0.7, 0.9999, -0.9999])
+    def test_real_input_gives_float_on_both_branches(self, x):
+        assert type(li4(x)) is float
+        assert type(li4(complex(x))) is complex
+
+
 class TestSIntegral:
     def test_zero(self):
         assert s_integral(0.0) == 0.0
