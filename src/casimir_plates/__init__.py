@@ -35,18 +35,13 @@ from .optics import (
     SweepSlot,
     Transparent,
     coefficients,
-    reflection,
-    transmission,
 )
 from .scattering import (
     Composition,
-    DeltaPolynomial,
     NodeCoefficients,
     StackGeometry,
     compositions,
-    delta_nn,
-    delta_beyond,
-    delta_oracle,
+    delta_compositions,
     delta_polynomial,
     delta_total,
 )
@@ -105,17 +100,12 @@ __all__ = [
     "SweepSlot",
     "Transparent",
     "coefficients",
-    "reflection",
-    "transmission",
     # scattering
     "Composition",
-    "DeltaPolynomial",
     "NodeCoefficients",
     "StackGeometry",
     "compositions",
-    "delta_nn",
-    "delta_beyond",
-    "delta_oracle",
+    "delta_compositions",
     "delta_polynomial",
     "delta_total",
     # special functions and quadrature

@@ -146,10 +146,6 @@ class StackSpec:
         return len(self.plates)
 
     @property
-    def geometry(self) -> StackGeometry:
-        return StackGeometry(self.gaps)
-
-    @property
     def uniform(self) -> bool:
         """All gaps equal (not necessarily to 1)."""
         return all(g == self.gaps[0] for g in self.gaps)
@@ -303,12 +299,9 @@ def _polylog_node(stack: StackSpec, t: float) -> Tuple[float, float]:
                 # pair: Delta = 1 - r r' x has the single inverse root r r'
                 value += li4(r_seg[0] * r_seg[1])
                 continue
-            poly = delta_polynomial(
-                NodeCoefficients(r_seg, t_seg),
-                StackGeometry((1.0,) * (len(r_seg) - 1)),
-            )
+            poly = delta_polynomial(NodeCoefficients(r_seg, t_seg))
             try:
-                roots, err = _inverse_roots(poly.coeffs)
+                roots, err = _inverse_roots(poly)
             except ValueError as exc:
                 raise UnitDiskRootError(str(exc), t=t, pol=pol, roots=None) from exc
             value += _li4_root_sum(roots)

@@ -32,8 +32,6 @@ __all__ = [
     "Transparent",
     "SweepSlot",
     "Material",
-    "reflection",
-    "transmission",
     "coefficients",
 ]
 
@@ -168,27 +166,8 @@ _IDEAL_R = {
 }
 
 
-def _conductivity_r(sigma: float, pol: Polarization, t: float) -> float:
-    if pol is Polarization.TM:
-        if sigma == 0.0:
-            return 0.0
-        # t = 0 limit is 1 for any positive sigma
-        return sigma / (sigma + 2.0 * t)
-    return -sigma * t / (sigma * t + 2.0)
-
-
-def _generic_r(lam_e: float, lam_g: float, pol: Polarization, t: float) -> float:
-    if pol is Polarization.TE:
-        lam_e, lam_g = lam_g, lam_e
-    # electric piece: lam_e/(lam_e + 2), with the infinite limit handled by
-    # the ideal material classes, not here
-    e_term = lam_e / (lam_e + 2.0)
-    g_term = lam_g * t * t / (lam_g * t * t + 2.0)
-    return e_term - g_term
-
-
-def reflection(m: Material, pol: Polarization, node: AngularNode) -> float:
-    """Reflection amplitude of plate ``m`` at polarization ``pol`` and node.
+def coefficients(m: Material, pol: Polarization, node: AngularNode) -> Coefficients:
+    """Reflection and transmission amplitudes of plate ``m`` at one node.
 
     Parameters
     ----------
@@ -198,43 +177,30 @@ def reflection(m: Material, pol: Polarization, node: AngularNode) -> float:
 
     Returns
     -------
-    float
-        Dimensionless amplitude in [-1, 1].
+    Coefficients
+        The pair ``(r, t_coef)``, each dimensionless and in [-1, 1].
     """
     t = node.t
     if isinstance(m, ConstantConductivity):
-        return _conductivity_r(m.sigma, pol, t)
-    if isinstance(m, GenericDeltaPlate):
-        return _generic_r(m.lambda_e, m.lambda_g, pol, t)
-    if isinstance(m, (PerfectElectric, PerfectMagnetic)):
-        return _IDEAL_R[(type(m), pol)]
-    if isinstance(m, Transparent):
-        return 0.0
-    if isinstance(m, SweepSlot):
-        raise TypeError("sweep slot is not bound to a conductivity value")
-    raise TypeError(f"unsupported material: {m!r}")
-
-
-def transmission(m: Material, pol: Polarization, node: AngularNode) -> float:
-    """Transmission amplitude of plate ``m`` (see `reflection`)."""
-    t = node.t
-    if isinstance(m, ConstantConductivity):
-        r = _conductivity_r(m.sigma, pol, t)
-        return 1.0 - r if pol is Polarization.TM else 1.0 + r
+        sigma = m.sigma
+        if pol is Polarization.TE:
+            r = -sigma * t / (sigma * t + 2.0)
+            return Coefficients(r, 1.0 + r)
+        # the t = 0 limit of the TM reflection is 1 for any positive sigma
+        r = sigma / (sigma + 2.0 * t) if sigma != 0.0 else 0.0
+        return Coefficients(r, 1.0 - r)
     if isinstance(m, GenericDeltaPlate):
         lam_e, lam_g = m.lambda_e, m.lambda_g
         if pol is Polarization.TE:
             lam_e, lam_g = lam_g, lam_e
-        return 1.0 - lam_e / (lam_e + 2.0) - lam_g * t * t / (lam_g * t * t + 2.0)
+        # the infinite electric limit belongs to the ideal material classes
+        e_term = lam_e / (lam_e + 2.0)
+        g_term = lam_g * t * t / (lam_g * t * t + 2.0)
+        return Coefficients(e_term - g_term, 1.0 - e_term - g_term)
     if isinstance(m, (PerfectElectric, PerfectMagnetic)):
-        return 0.0
+        return Coefficients(_IDEAL_R[(type(m), pol)], 0.0)
     if isinstance(m, Transparent):
-        return 1.0
+        return Coefficients(0.0, 1.0)
     if isinstance(m, SweepSlot):
         raise TypeError("sweep slot is not bound to a conductivity value")
     raise TypeError(f"unsupported material: {m!r}")
-
-
-def coefficients(m: Material, pol: Polarization, node: AngularNode) -> Coefficients:
-    """Both amplitudes of one plate at one node, as a named pair."""
-    return Coefficients(reflection(m, pol, node), transmission(m, pol, node))

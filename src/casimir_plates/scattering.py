@@ -1,13 +1,18 @@
-"""Composition expansion of the multiple-scattering parameter.
+"""The multiple-scattering parameter Delta of an N-plate stack.
 
-For ``N`` parallel plates the interaction determinant ``Delta`` factorizes
-into a sum over compositions (ordered integer partitions) of ``N - 1``: a
-part of size 1 contributes a nearest-neighbour factor ``1 - r r' y`` and a
-part of size ``c >= 2`` contributes a beyond-nearest loop passing through
-the intermediate plates twice.  The module also provides an algebraically
-independent evaluation through the dressed-mirror recursion, used as an
-oracle in the test-suite, and the polynomial form of ``Delta`` in the
-round-trip variable ``x = exp(-s)`` for uniform stacks.
+`delta_total`, the value every quadrature node uses, runs a division-free
+2x2 transfer matrix from the last plate to the first: ``O(N)`` work and no
+denominator that can vanish.  It is the dressed-mirror recursion, in which
+the sub-stack ``k..N-1`` acts as one mirror, with its denominators cleared.
+
+The paper organizes Delta as a sum over compositions (ordered integer
+partitions) of ``N - 1``: a part of size 1 contributes a nearest-neighbour
+factor ``1 - r r' y`` and a part of size ``c >= 2`` a beyond-nearest loop
+passing through the intermediate plates twice.  `delta_compositions` sums
+those ``2**(N-2)`` products literally; it is the independent oracle the
+test-suite checks `delta_total` against, and `delta_polynomial` expands the
+same sum into the polynomial form of Delta in ``x = exp(-s)`` for stacks
+with unit gaps.
 
 Everything is evaluated in the scaled variable ``s = 2 kappa a_ref`` so a
 gap of dimensionless length ``g`` carries a round-trip factor
@@ -27,12 +32,9 @@ __all__ = [
     "Composition",
     "StackGeometry",
     "NodeCoefficients",
-    "DeltaPolynomial",
     "compositions",
-    "delta_nn",
-    "delta_beyond",
     "delta_total",
-    "delta_oracle",
+    "delta_compositions",
     "delta_polynomial",
 ]
 
@@ -60,11 +62,6 @@ class StackGeometry:
     def n_plates(self) -> int:
         return len(self.gaps) + 1
 
-    @property
-    def uniform(self) -> bool:
-        """True when every gap equals the reference length 1."""
-        return all(g == 1.0 for g in self.gaps)
-
 
 @dataclass(frozen=True)
 class NodeCoefficients:
@@ -89,30 +86,6 @@ class NodeCoefficients:
     @property
     def n_plates(self) -> int:
         return len(self.r)
-
-
-@dataclass(frozen=True)
-class DeltaPolynomial:
-    """Coefficients c_0 ... c_d of Delta as a polynomial in x = exp(-s)."""
-
-    coeffs: Tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs or coeffs[0] != 1.0:
-            raise ValueError("leading (constant) coefficient must be exactly 1")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: float) -> float:
-        """Evaluate at ``x`` by Horner's scheme."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 @lru_cache(maxsize=None)
@@ -142,61 +115,52 @@ def _compositions(n: int) -> Tuple[Composition, ...]:
     )
 
 
-def delta_nn(r_i: float, r_j: float, y: float) -> float:
-    """Nearest-neighbour factor ``1 - r_i r_j y`` with ``y = exp(-s g)``."""
-    return 1.0 - r_i * r_j * y
-
-
-def delta_beyond(
-    coeffs: NodeCoefficients,
-    i: int,
-    k: int,
-    geometry: StackGeometry,
-    s: float,
-) -> float:
-    """Beyond-nearest-neighbour loop factor between plates ``i`` and ``k``.
-
-    The loop reflects off plates ``i`` and ``k`` and is transmitted twice
-    through every plate in between, so it carries ``t**2`` per intermediate
-    plate and the round-trip exponential of the total enclosed distance.
-    Indices are zero-based and must satisfy ``k >= i + 2``.
-
-    Returns
-    -------
-    float
-        ``-r_i r_k (prod t_m^2) exp(-s sum g_m)``; the minus sign belongs
-        to the factor so the total expansion is a plain sum.
-    """
-    n = coeffs.n_plates
-    if not (0 <= i and k < n):
-        raise IndexError(f"plate indices ({i}, {k}) out of range for N={n}")
-    if k < i + 2:
-        raise IndexError(f"beyond-nearest factor needs k >= i + 2, got ({i}, {k})")
-    trans = 1.0
-    for m in range(i + 1, k):
-        trans *= coeffs.t_coef[m] ** 2
-    path = 0.0
-    for m in range(i, k):
-        path += geometry.gaps[m]
-    return -coeffs.r[i] * coeffs.r[k] * trans * math.exp(-s * path)
+def _check_sizes(coeffs: NodeCoefficients, geometry: StackGeometry) -> None:
+    if geometry.n_plates != coeffs.n_plates:
+        raise ValueError(
+            f"geometry is for {geometry.n_plates} plates, "
+            f"coefficients for {coeffs.n_plates}"
+        )
 
 
 def delta_total(coeffs: NodeCoefficients, geometry: StackGeometry, s: float) -> float:
     """Full multiple-scattering parameter at one (polarization, node, s).
 
-    Sums ``2**(N-2)`` composition products in a fixed lexicographic order,
-    each accumulated left to right, so results are bit-reproducible.
-    ``Delta -> 1`` as ``s -> infinity``.
+    Runs the transfer matrix from ``P = r_{N-1}``, ``Q = 1`` down to plate
+    0; with ``y_k = exp(-s g_k)`` each step is
+
+    ``P, Q = (t_k**2 - r_k**2) y_k P + r_k Q,  Q - r_k y_k P``
+
+    and ``Delta = Q``.  ``Q_k`` and ``P_k`` are the denominator and the
+    numerator of the reflection of the dressed sub-stack ``k..N-1``, so the
+    recursion never divides.  ``Delta -> 1`` as ``s -> infinity``.
     """
-    n = coeffs.n_plates
-    if geometry.n_plates != n:
-        raise ValueError(
-            f"geometry is for {geometry.n_plates} plates, coefficients for {n}"
-        )
+    _check_sizes(coeffs, geometry)
+    r, t, gaps = coeffs.r, coeffs.t_coef, geometry.gaps
+    p, q = r[-1], 1.0
+    for k in range(len(gaps) - 1, -1, -1):
+        yp = math.exp(-s * gaps[k]) * p
+        rk = r[k]
+        p, q = (t[k] ** 2 - rk * rk) * yp + rk * q, q - rk * yp
+    return q
+
+
+def delta_compositions(
+    coeffs: NodeCoefficients, geometry: StackGeometry, s: float
+) -> float:
+    """Delta as the paper's sum over compositions of ``N - 1``.
+
+    Sums ``2**(N-2)`` composition products in a fixed lexicographic order,
+    each accumulated left to right, so results are bit-reproducible.  The
+    cost doubles with every plate and `compositions` caps ``N`` at 63; the
+    package evaluates Delta with `delta_total` and keeps this expansion as
+    the independent reference the tests compare against.
+    """
+    _check_sizes(coeffs, geometry)
     r, t, gaps = coeffs.r, coeffs.t_coef, geometry.gaps
     y = [math.exp(-s * g) for g in gaps]
     total = 0.0
-    for comp in compositions(n - 1):
+    for comp in compositions(coeffs.n_plates - 1):
         term = 1.0
         p = 0
         for c in comp:
@@ -216,62 +180,17 @@ def delta_total(coeffs: NodeCoefficients, geometry: StackGeometry, s: float) -> 
     return total
 
 
-def delta_oracle(coeffs: NodeCoefficients, geometry: StackGeometry, s: float) -> float:
-    """Independent evaluation of Delta via the dressed-mirror recursion.
-
-    The sub-stack ``k..N-1`` seen from the left acts as a single mirror of
-    reflection ``R_k``, built backwards from ``R_{N-1} = r_{N-1}``; Delta is
-    the product of the denominators ``1 - r_k R_{k+1} y_k``.  Algebraically
-    identical to `delta_total`; kept free of shared code so the two can
-    cross-check each other.
-
-    Raises
-    ------
-    ZeroDivisionError
-        If a recursion denominator vanishes exactly (possible only in the
-        ideal coincidence ``|r R y| = 1``).
-    """
-    n = coeffs.n_plates
-    if geometry.n_plates != n:
-        raise ValueError(
-            f"geometry is for {geometry.n_plates} plates, coefficients for {n}"
-        )
-    r, t, gaps = coeffs.r, coeffs.t_coef, geometry.gaps
-    dressed = r[n - 1]
-    dens = [0.0] * (n - 1)
-    for k in range(n - 2, -1, -1):
-        y = math.exp(-s * gaps[k])
-        den = 1.0 - r[k] * dressed * y
-        if den == 0.0:
-            raise ZeroDivisionError(
-                f"dressed-mirror denominator vanished at plate {k} (s={s})"
-            )
-        dens[k] = den
-        dressed = r[k] + t[k] ** 2 * dressed * y / den
-    delta = 1.0
-    for den in dens:
-        delta *= den
-    return delta
-
-
-def delta_polynomial(
-    coeffs: NodeCoefficients, geometry: StackGeometry
-) -> DeltaPolynomial:
-    """Delta as a polynomial in ``x = exp(-s)`` for a uniform stack.
+def delta_polynomial(coeffs: NodeCoefficients) -> Tuple[float, ...]:
+    """Coefficients ``c_0 ... c_{N-1}`` of Delta in ``x = exp(-s)``, unit gaps.
 
     Each composition term is a product of linear factors ``1 - r r' x``
     (parts of size one) and monomials ``-r r' (prod t^2) x^c`` (larger
     parts); the expansion is assembled by polynomial convolution.  Only
-    uniform geometries (all gaps equal to 1) admit a single propagation
-    variable, so anything else is rejected.
+    unit gaps give every gap the same propagation variable ``x``.
+    ``c_0 = 1``; trailing coefficients may be exactly zero (opaque interior
+    plates) and are kept.
     """
     n = coeffs.n_plates
-    if geometry.n_plates != n:
-        raise ValueError(
-            f"geometry is for {geometry.n_plates} plates, coefficients for {n}"
-        )
-    if not geometry.uniform:
-        raise ValueError("delta_polynomial requires a uniform stack (all gaps 1)")
     r, t = coeffs.r, coeffs.t_coef
     total = np.zeros(n)
     for comp in compositions(n - 1):
@@ -290,8 +209,4 @@ def delta_polynomial(
             prod = np.convolve(prod, factor)
             p = q
         total[: prod.size] += prod
-    # strip trailing exact zeros (e.g. opaque interior plates) but keep c_0
-    d = n - 1
-    while d > 0 and total[d] == 0.0:
-        d -= 1
-    return DeltaPolynomial(tuple(total[: d + 1]))
+    return tuple(float(c) for c in total)

@@ -17,12 +17,18 @@ from casimir_plates.optics import (
     SweepSlot,
     Transparent,
     coefficients,
-    reflection,
-    transmission,
 )
 
 TM = Polarization.TM
 TE = Polarization.TE
+
+
+def reflection(m, pol, node):
+    return coefficients(m, pol, node).r
+
+
+def transmission(m, pol, node):
+    return coefficients(m, pol, node).t_coef
 
 
 def test_graphene_constant():

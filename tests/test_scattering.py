@@ -1,7 +1,7 @@
-"""Composition expansion of the multiple-scattering parameter.
+"""The multiple-scattering parameter Delta and its composition expansion.
 
-The central check plays the composition-sum evaluator against the
-dressed-mirror recursion (`delta_oracle`), two algebraically equal but
+The central check plays the paper's composition sum (`delta_compositions`)
+against the transfer matrix (`delta_total`), two algebraically equal but
 structurally unrelated computations.
 """
 
@@ -11,13 +11,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import casimir_plates
+from casimir_plates import scattering
+from casimir_plates.optics import (
+    AngularNode,
+    ConstantConductivity,
+    PerfectMagnetic,
+    Polarization,
+    Transparent,
+    coefficients,
+)
 from casimir_plates.scattering import (
     NodeCoefficients,
     StackGeometry,
     compositions,
-    delta_beyond,
-    delta_nn,
-    delta_oracle,
+    delta_compositions,
     delta_polynomial,
     delta_total,
 )
@@ -26,35 +34,17 @@ RNG_SEED = 20250822
 
 
 def random_instance(rng, n=None, ideal=False):
-    """Random coefficients/geometry/s; rejection keeps the oracle well posed."""
+    """Random coefficients, geometry and s."""
     n = n if n is not None else int(rng.integers(2, 9))
-    while True:
-        if ideal:
-            r = tuple(float(v) for v in rng.choice([-1.0, 1.0], size=n))
-            t = (0.0,) * n
-        else:
-            r = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=n))
-            t = tuple(float(v) for v in rng.uniform(0.0, 1.0, size=n))
-        gaps = tuple(float(v) for v in rng.uniform(0.2, 3.0, size=n - 1))
-        s = float(rng.uniform(0.0, 20.0))
-        coeffs = NodeCoefficients(r, t)
-        geometry = StackGeometry(gaps)
-        if _oracle_well_conditioned(coeffs, geometry, s):
-            return coeffs, geometry, s
-
-
-def _oracle_well_conditioned(coeffs, geometry, s, cutoff=1e-3):
-    """Reject samples whose recursion denominators nearly vanish."""
-    n = coeffs.n_plates
-    r, t = coeffs.r, coeffs.t_coef
-    big_r = r[n - 1]
-    for k in range(n - 2, -1, -1):
-        y = math.exp(-s * geometry.gaps[k])
-        den = 1.0 - r[k] * big_r * y
-        if abs(den) < cutoff:
-            return False
-        big_r = r[k] + t[k] ** 2 * big_r * y / den
-    return True
+    if ideal:
+        r = tuple(float(v) for v in rng.choice([-1.0, 1.0], size=n))
+        t = (0.0,) * n
+    else:
+        r = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=n))
+        t = tuple(float(v) for v in rng.uniform(0.0, 1.0, size=n))
+    gaps = tuple(float(v) for v in rng.uniform(0.2, 3.0, size=n - 1))
+    s = float(rng.uniform(0.0, 20.0))
+    return NodeCoefficients(r, t), StackGeometry(gaps), s
 
 
 class TestCompositions:
@@ -85,26 +75,37 @@ class TestCompositions:
 
 
 class TestFactors:
+    """The two kinds of factor of the expansion, read off stacks whose
+    composition sum reduces to a single factor or a single loop."""
+
     def test_nearest_perfect_conductors(self):
-        assert delta_nn(1.0, 1.0, 0.25) == 0.75
+        coeffs = NodeCoefficients((1.0, 1.0), (0.0, 0.0))
+        value = delta_compositions(coeffs, StackGeometry((1.0,)), math.log(4.0))
+        assert value == pytest.approx(0.75, rel=1e-15)
 
     def test_nearest_infinite_separation(self):
-        assert delta_nn(0.3, -0.8, 0.0) == 1.0
+        coeffs = NodeCoefficients((0.3, -0.8), (0.5, 0.5))
+        assert delta_compositions(coeffs, StackGeometry((1.0,)), math.inf) == 1.0
 
     def test_nearest_opposite_signs(self):
-        assert delta_nn(1.0, -1.0, 0.5) == 1.5
+        coeffs = NodeCoefficients((1.0, -1.0), (0.0, 0.0))
+        value = delta_compositions(coeffs, StackGeometry((1.0,)), math.log(2.0))
+        assert value == pytest.approx(1.5, rel=1e-15)
 
     def test_beyond_opaque_middle_vanishes(self):
+        # the loop through an opaque plate is zero, leaving the two factors
         coeffs = NodeCoefficients((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-        geo = StackGeometry((1.0, 1.0))
-        assert delta_beyond(coeffs, 0, 2, geo, 1.3) == 0.0
+        y = math.exp(-1.3)
+        value = delta_compositions(coeffs, StackGeometry((1.0, 1.0)), 1.3)
+        assert value == (1.0 - y) * (1.0 - y)
 
     def test_beyond_unit_coefficients(self):
+        # a reflectionless middle plate leaves only the loop: Delta = 1 - x^2
         x = 0.37
         s = -math.log(x)
         coeffs = NodeCoefficients((1.0, 0.0, 1.0), (0.0, 1.0, 0.0))
-        geo = StackGeometry((1.0, 1.0))
-        assert delta_beyond(coeffs, 0, 2, geo, s) == pytest.approx(-(x**2), rel=1e-14)
+        value = delta_compositions(coeffs, StackGeometry((1.0, 1.0)), s)
+        assert value - 1.0 == pytest.approx(-(x**2), rel=1e-14)
 
     def test_beyond_hand_expanded(self):
         x = 0.5
@@ -112,18 +113,11 @@ class TestFactors:
         coeffs = NodeCoefficients((0.5, 0.0, 0.0, 0.5), (0.0, 0.5, 0.5, 0.0))
         geo = StackGeometry((1.0, 1.0, 1.0))
         expected = -0.5 * 0.5 * (0.5**2 * 0.5**2) * 0.5**3
-        assert delta_beyond(coeffs, 0, 3, geo, s) == pytest.approx(expected, rel=1e-14)
+        # every other term of the expansion is exactly zero or one
+        assert delta_compositions(coeffs, geo, s) - 1.0 == pytest.approx(
+            expected, rel=1e-14
+        )
         assert expected == -0.001953125
-
-    def test_beyond_index_contracts(self):
-        coeffs = NodeCoefficients((0.1, 0.2, 0.3), (0.5, 0.5, 0.5))
-        geo = StackGeometry((1.0, 1.0))
-        with pytest.raises(IndexError):
-            delta_beyond(coeffs, 0, 1, geo, 1.0)
-        with pytest.raises(IndexError):
-            delta_beyond(coeffs, 1, 3, geo, 1.0)
-        with pytest.raises(IndexError):
-            delta_beyond(coeffs, -1, 2, geo, 1.0)
 
 
 class TestDeltaTotal:
@@ -170,8 +164,8 @@ class TestOracleEquivalence:
         geo = StackGeometry((1.7,))
         s = 0.9
         y = math.exp(-s * 1.7)
-        assert delta_oracle(coeffs, geo, s) == pytest.approx(
-            delta_nn(0.4, -0.7, y), rel=1e-15
+        assert delta_total(coeffs, geo, s) == pytest.approx(
+            1.0 - 0.4 * -0.7 * y, rel=1e-15
         )
 
     def test_three_plates_recursion_expands_correctly(self):
@@ -184,28 +178,46 @@ class TestOracleEquivalence:
             expected = (1 - r[0] * r[1] * x01) * (1 - r[1] * r[2] * x12) - (
                 r[0] * t[1] ** 2 * r[2] * x01 * x12
             )
-            assert delta_oracle(coeffs, geo, s) == pytest.approx(expected, rel=1e-12)
+            assert delta_total(coeffs, geo, s) == pytest.approx(expected, rel=1e-12)
 
     def test_equivalence_thousand_instances(self):
         rng = np.random.default_rng(RNG_SEED + 3)
         for _ in range(1100):
             coeffs, geo, s = random_instance(rng)
-            a = delta_total(coeffs, geo, s)
-            b = delta_oracle(coeffs, geo, s)
+            a = delta_compositions(coeffs, geo, s)
+            b = delta_total(coeffs, geo, s)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_equivalence_on_ideal_stacks(self):
         rng = np.random.default_rng(RNG_SEED + 4)
         for _ in range(100):
             coeffs, geo, s = random_instance(rng, ideal=True)
-            a = delta_total(coeffs, geo, s)
-            b = delta_oracle(coeffs, geo, s)
+            a = delta_compositions(coeffs, geo, s)
+            b = delta_total(coeffs, geo, s)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
-    def test_oracle_raises_on_ideal_coincidence(self):
+    def test_ideal_coincidence_gives_zero(self):
+        # |r r' y| = 1: the transfer matrix has no denominator to vanish
         coeffs = NodeCoefficients((1.0, 1.0), (0.0, 0.0))
-        with pytest.raises(ZeroDivisionError):
-            delta_oracle(coeffs, StackGeometry((1.0,)), 0.0)
+        assert delta_total(coeffs, StackGeometry((1.0,)), 0.0) == 0.0
+
+    def test_transparent_interior_beyond_composition_cap(self):
+        # 70 plates, more than compositions() admits: only the outer pair
+        # scatters, across the sum of all 69 gaps
+        node = AngularNode(0.35)
+        pol = Polarization.TM
+        plates = (
+            (ConstantConductivity(1.7),) + (Transparent(),) * 68 + (PerfectMagnetic(),)
+        )
+        pairs = [coefficients(p, pol, node) for p in plates]
+        coeffs = NodeCoefficients(
+            tuple(c.r for c in pairs), tuple(c.t_coef for c in pairs)
+        )
+        rng = np.random.default_rng(RNG_SEED + 9)
+        geo = StackGeometry(tuple(float(g) for g in rng.uniform(0.2, 3.0, size=69)))
+        s = 0.004
+        expected = 1.0 - coeffs.r[0] * coeffs.r[69] * math.exp(-s * sum(geo.gaps))
+        assert delta_total(coeffs, geo, s) == pytest.approx(expected, rel=1e-14)
 
 
 class TestStructuralInvariants:
@@ -250,8 +262,8 @@ class TestStructuralInvariants:
             product = 1.0
             for k in range(coeffs.n_plates - 1):
                 y = math.exp(-s * geo.gaps[k])
-                product *= delta_nn(coeffs.r[k], coeffs.r[k + 1], y)
-            assert delta_total(coeffs, geo, s) == product
+                product *= 1.0 - coeffs.r[k] * coeffs.r[k + 1] * y
+            assert delta_compositions(coeffs, geo, s) == product
 
     @given(st.integers(2, 8), st.floats(0.0, 20.0))
     @settings(max_examples=60, deadline=None)
@@ -260,7 +272,7 @@ class TestStructuralInvariants:
         geo = StackGeometry((1.0,) * (n - 1))
         # the expansion must sum exactly 2^(n-2) composition products
         assert len(list(compositions(n - 1))) == 2 ** (n - 2)
-        value = delta_total(coeffs, geo, s)
+        value = delta_compositions(coeffs, geo, s)
         assert math.isfinite(value)
 
 
@@ -268,15 +280,15 @@ class TestDeltaPolynomial:
     def test_pair_equal_plates(self):
         r = 0.62
         coeffs = NodeCoefficients((r, r), (1 - r, 1 - r))
-        poly = delta_polynomial(coeffs, StackGeometry((1.0,)))
-        assert poly.coeffs[0] == 1.0
-        assert poly.coeffs[1] == pytest.approx(-(r**2), rel=1e-15)
+        poly = delta_polynomial(coeffs)
+        assert poly[0] == 1.0
+        assert poly[1] == pytest.approx(-(r**2), rel=1e-15)
 
     def test_three_equal_plates(self):
         r, t = 0.4, 0.6
         coeffs = NodeCoefficients((r, r, r), (t, t, t))
-        poly = delta_polynomial(coeffs, StackGeometry((1.0, 1.0)))
-        assert list(poly.coeffs) == pytest.approx(
+        poly = delta_polynomial(coeffs)
+        assert list(poly) == pytest.approx(
             [1.0, -2 * r**2, r**4 - r**2 * t**2], rel=1e-14
         )
 
@@ -285,21 +297,23 @@ class TestDeltaPolynomial:
         for _ in range(50):
             coeffs, _, _ = random_instance(rng, n=6)
             geo = StackGeometry((1.0,) * 5)
-            poly = delta_polynomial(coeffs, geo)
-            assert poly.coeffs[0] == 1.0
-            assert poly.degree <= 5
+            poly = delta_polynomial(coeffs)
+            assert poly[0] == 1.0
+            assert len(poly) == 6
             for x in rng.uniform(0.0, 0.95, size=20):
                 s = -math.log(x) if x > 0 else 60.0
-                direct = delta_total(coeffs, geo, s)
-                assert poly(x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-    def test_rejects_non_uniform_gaps(self):
-        coeffs = NodeCoefficients((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            delta_polynomial(coeffs, StackGeometry((1.0, 2.0)))
+                value = np.polyval(poly[::-1], x)
+                for delta in (delta_total, delta_compositions):
+                    direct = delta(coeffs, geo, s)
+                    assert value == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 class TestValidation:
+    @pytest.mark.parametrize("module", [casimir_plates, scattering])
+    def test_public_names_resolve(self, module):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == []
+
     def test_geometry_positive_gaps(self):
         with pytest.raises(ValueError):
             StackGeometry((1.0, -0.5))
