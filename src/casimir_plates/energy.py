@@ -39,6 +39,7 @@ from .special import (
     QuadratureSpec,
     _integrate_floor,
     _integrate_2d_bound,
+    _pointwise,
     li4,
 )
 
@@ -330,7 +331,7 @@ def energy_ratio_polylog(
         raise ValueError("the polylog route requires uniform gaps")
     g = stack.gaps[0]
     value, bound = _integrate_floor(
-        lambda t: _polylog_node(stack, t), 0.0, 1.0, spec
+        _pointwise(lambda t: _polylog_node(stack, t)), 0.0, 1.0, spec
     )
     scale = _PREFACTOR_POLYLOG / g**3
     ratio = scale * value
@@ -355,7 +356,7 @@ def energy_ratio_quadrature(
 
     cache: dict = {}
 
-    def log_delta(t: float, s: float) -> float:
+    def log_delta(t: float, s: np.ndarray) -> np.ndarray:
         pair = cache.get(t)
         if pair is None:
             pair = tuple(_node_coefficients(stack, pol, t) for pol in Polarization)
@@ -364,11 +365,14 @@ def energy_ratio_quadrature(
         total = 0.0
         for coeffs in pair:
             d = delta_total(coeffs, geometry, s)
-            if d <= 0.0:
+            bad = d <= 0.0
+            if bad.any():
+                j = int(np.argmax(bad))
                 raise DeltaDomainError(
-                    f"Delta = {d!r} at t={t!r}, s={s!r}: invalid coefficient regime"
+                    f"Delta = {float(d[j])!r} at t={float(t)!r}, s={float(s[j])!r}: "
+                    "invalid coefficient regime"
                 )
-            total += math.log(d)
+            total = total + np.log(d)
         return total
 
     value, bound = _integrate_2d_bound(log_delta, spec, route="substitution")

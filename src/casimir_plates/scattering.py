@@ -1,8 +1,8 @@
 """The multiple-scattering parameter Delta of an N-plate stack.
 
-`delta_total`, the value every quadrature node uses, runs a division-free
+`delta_total`, the value the quadrature route uses, runs a division-free
 2x2 transfer matrix from the last plate to the first: ``O(N)`` work and no
-denominator that can vanish.  It is the dressed-mirror recursion, in which
+denominator that can vanish, on one ``s`` or on an array of them.  It is the dressed-mirror recursion, in which
 the sub-stack ``k..N-1`` acts as one mirror, with its denominators cleared.
 
 The paper organizes Delta as a sum over compositions (ordered integer
@@ -123,8 +123,8 @@ def _check_sizes(coeffs: NodeCoefficients, geometry: StackGeometry) -> None:
         )
 
 
-def delta_total(coeffs: NodeCoefficients, geometry: StackGeometry, s: float) -> float:
-    """Full multiple-scattering parameter at one (polarization, node, s).
+def delta_total(coeffs: NodeCoefficients, geometry: StackGeometry, s):
+    """Full multiple-scattering parameter at one (polarization, node) and ``s``.
 
     Runs the transfer matrix from ``P = r_{N-1}``, ``Q = 1`` down to plate
     0; with ``y_k = exp(-s g_k)`` each step is
@@ -134,12 +134,16 @@ def delta_total(coeffs: NodeCoefficients, geometry: StackGeometry, s: float) -> 
     and ``Delta = Q``.  ``Q_k`` and ``P_k`` are the denominator and the
     numerator of the reflection of the dressed sub-stack ``k..N-1``, so the
     recursion never divides.  ``Delta -> 1`` as ``s -> infinity``.
+
+    ``s`` may be a float or an ndarray; an array runs the same recursion
+    element by element and returns an array of the same shape, equal to
+    the scalar calls.
     """
     _check_sizes(coeffs, geometry)
     r, t, gaps = coeffs.r, coeffs.t_coef, geometry.gaps
     p, q = r[-1], 1.0
     for k in range(len(gaps) - 1, -1, -1):
-        yp = math.exp(-s * gaps[k]) * p
+        yp = np.exp(s * -gaps[k]) * p
         rk = r[k]
         p, q = (t[k] ** 2 - rk * rk) * yp + rk * q, q - rk * yp
     return q

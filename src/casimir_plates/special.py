@@ -17,7 +17,9 @@ below 4e-18.
 The integrators use open rules only (no endpoint evaluations), subdivide
 worst-panel-first with deterministic tie-breaking, and sum results in a
 fixed order, so a given tolerance specification always reproduces the same
-bits.
+bits.  Internally an integrand is called once per panel on the array of
+all its nodes and returns arrays of values and noise floors; the public
+`integrate_t` and `integrate_2d` take scalar callables and adapt them.
 """
 
 from __future__ import annotations
@@ -215,38 +217,61 @@ def s_integral(c):
 
 _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(15)
 _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(31)
+_NODES = np.concatenate((_GL_LO_X, _GL_HI_X))
+_N_LO = _GL_LO_X.size
+_W_LO = _GL_LO_W.tolist()
+_W_HI = _GL_HI_W.tolist()
+
+
+def _pointwise(f):
+    """Array form of a scalar callable, for the integrators.
+
+    ``_pointwise(f)(*args, nodes)`` calls ``f(*args, x)`` for each node in
+    order and stacks the results; a tuple-valued ``f`` gives one array per
+    component.
+    """
+
+    def batch(*args):
+        *fixed, nodes = args
+        return np.array([f(*fixed, x) for x in nodes]).T
+
+    return batch
 
 
 def _panel(g, a: float, b: float) -> Tuple[float, float, float]:
     """High-order estimate, error estimate and noise floor on one panel.
 
-    ``g`` maps a point to ``(value, floor)`` where ``floor`` bounds the
-    evaluation error of the value itself.  The error estimate is the
-    difference of the 15- and 31-point Gauss rules; the floor is integrated
-    with the high-order weights.
+    ``g`` is called once, on the array of the panel's 15 + 31 nodes (the
+    15-point rule's first), and returns two arrays: the values and a
+    ``floor`` per node that bounds the evaluation error of the value
+    itself.  The error estimate is the difference of the 15- and 31-point
+    Gauss rules; the floor is integrated with the high-order weights.  Each
+    rule is summed node by node in a fixed order.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    values, floors = g(mid + half * _NODES)
+    values = values.tolist()
     lo = 0.0
-    for xi, wi in zip(_GL_LO_X, _GL_LO_W):
-        v, _ = g(mid + half * xi)
+    for wi, v in zip(_W_LO, values[:_N_LO]):
         lo += wi * v
     hi = 0.0
     floor = 0.0
-    for xi, wi in zip(_GL_HI_X, _GL_HI_W):
-        v, fe = g(mid + half * xi)
+    for wi, v, fe in zip(_W_HI, values[_N_LO:], floors[_N_LO:].tolist()):
         hi += wi * v
         floor += wi * fe
     return half * hi, abs(half * (hi - lo)), half * floor
 
 
 def _integrate_floor(
-    g: Callable[[float], Tuple[float, float]],
+    g: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     a: float,
     b: float,
     spec: QuadratureSpec,
 ) -> Tuple[float, float]:
     """Adaptive driver; returns (integral, total error bound).
+
+    ``g`` is an array integrand as `_panel` describes: one call per panel.
 
     Splits whichever panel currently carries the largest reducible error
     until the summed error estimate drops below tolerance.  A panel whose
@@ -313,7 +338,7 @@ def integrate_t(f: Callable[[float], float], spec: QuadratureSpec | None = None)
         estimate and its bound.
     """
     spec = spec or QuadratureSpec()
-    value, _ = _integrate_floor(lambda x: (f(x), 0.0), 0.0, 1.0, spec)
+    value, _ = _integrate_floor(_pointwise(lambda x: (f(x), 0.0)), 0.0, 1.0, spec)
     return value
 
 
@@ -342,21 +367,25 @@ def _truncation_cutoff(spec: QuadratureSpec, tail_coeff: float) -> float:
 
 
 def _integrate_2d_bound(
-    f: Callable[[float, float], float],
+    f: Callable[[float, np.ndarray], np.ndarray],
     spec: QuadratureSpec,
     *,
     route: str = "substitution",
     tail_coeff: float = 1.0,
 ) -> Tuple[float, float]:
-    """Core of `integrate_2d`; also returns the total error bound."""
+    """Core of `integrate_2d`; also returns the total error bound.
+
+    ``f(t, s)`` takes one angular node ``t`` and an array of frequencies
+    ``s`` (the nodes of one inner panel) and returns an array.
+    """
     ispec = _inner_spec(spec)
 
     if route == "substitution":
 
         def inner(t: float) -> Tuple[float, float]:
-            def h(u: float) -> Tuple[float, float]:
-                lg = math.log(u)
-                return lg * lg * f(t, -lg) / u, 0.0
+            def h(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                lg = np.log(u)
+                return lg * lg * f(t, -lg) / u, np.zeros(u.shape)
 
             return _integrate_floor(h, 0.0, 1.0, ispec)
 
@@ -364,8 +393,8 @@ def _integrate_2d_bound(
         smax = _truncation_cutoff(spec, tail_coeff)
 
         def inner(t: float) -> Tuple[float, float]:
-            def h(s: float) -> Tuple[float, float]:
-                return s * s * f(t, s), 0.0
+            def h(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                return s * s * f(t, s), np.zeros(s.shape)
 
             value, bound = _integrate_floor(h, 0.0, smax, ispec)
             return value, bound + 0.05 * spec.abs_tol
@@ -373,7 +402,7 @@ def _integrate_2d_bound(
     else:
         raise ValueError(f"unknown route {route!r}")
 
-    return _integrate_floor(inner, 0.0, 1.0, spec)
+    return _integrate_floor(_pointwise(inner), 0.0, 1.0, spec)
 
 
 def integrate_2d(
@@ -402,5 +431,5 @@ def integrate_2d(
         Tail-bound constant for the truncation route.
     """
     spec = spec or QuadratureSpec()
-    value, _ = _integrate_2d_bound(f, spec, route=route, tail_coeff=tail_coeff)
+    value, _ = _integrate_2d_bound(_pointwise(f), spec, route=route, tail_coeff=tail_coeff)
     return value

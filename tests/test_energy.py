@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from casimir_plates.energy import (
+    DeltaDomainError,
     EnergyResult,
     PolylogPathError,
     StackSpec,
@@ -410,6 +411,43 @@ class TestRootDiagnostics:
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)
         result = energy_ratio(StackSpec((GRAPHENE, PE, GRAPHENE), (0.5, 1.5)), spec)
         assert result.method == "quadrature"
+
+
+class TestQuadratureRoute:
+    def test_repeat_is_bit_identical(self):
+        stack = StackSpec((GRAPHENE, PE, GRAPHENE), (0.5, 1.5))
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)
+        first = energy_ratio_quadrature(stack, spec)
+        second = energy_ratio_quadrature(stack, spec)
+        assert first == second
+
+    def test_domain_error_names_node_and_first_bad_frequency(self, monkeypatch):
+        import casimir_plates.energy as energy_mod
+
+        real_delta = energy_mod.delta_total
+        real_coefficients = energy_mod._node_coefficients
+        seen_t, bad_s = [], []
+
+        def node_coefficients(stack, pol, t):
+            seen_t.append(t)
+            return real_coefficients(stack, pol, t)
+
+        def poisoned_delta(coeffs, geometry, s):
+            d = np.array(real_delta(coeffs, geometry, s))
+            d[7] = -0.25
+            d[20] = 0.0
+            bad_s.append(s[7])
+            return d
+
+        monkeypatch.setattr(energy_mod, "_node_coefficients", node_coefficients)
+        monkeypatch.setattr(energy_mod, "delta_total", poisoned_delta)
+        stack = StackSpec((GRAPHENE, GRAPHENE, GRAPHENE), (1.0, 2.0))
+        with pytest.raises(DeltaDomainError) as err:
+            energy_ratio_quadrature(stack, QuadratureSpec(rel_tol=1e-6))
+        message = str(err.value)
+        assert "Delta = -0.25" in message
+        assert f"t={float(seen_t[-1])!r}" in message
+        assert f"s={float(bad_s[-1])!r}" in message
 
 
 class TestStrongCouplingBound:

@@ -220,6 +220,57 @@ class TestOracleEquivalence:
         assert delta_total(coeffs, geo, s) == pytest.approx(expected, rel=1e-14)
 
 
+class TestArrayFrequencies:
+    """`delta_total` on an ndarray of s, as the quadrature route calls it."""
+
+    @staticmethod
+    def s_grid(rng):
+        return np.concatenate(([0.0], np.sort(rng.uniform(0.0, 20.0, size=45))))
+
+    def test_elementwise_equal_to_scalar_calls(self):
+        rng = np.random.default_rng(RNG_SEED + 10)
+        for _ in range(200):
+            coeffs, geo, _ = random_instance(rng)
+            s = self.s_grid(rng)
+            values = delta_total(coeffs, geo, s)
+            assert isinstance(values, np.ndarray) and values.shape == s.shape
+            for si, v in zip(s.tolist(), values.tolist()):
+                assert v == delta_total(coeffs, geo, si)
+
+    def test_agrees_with_compositions(self):
+        rng = np.random.default_rng(RNG_SEED + 11)
+        for _ in range(200):
+            coeffs, geo, _ = random_instance(rng)
+            s = self.s_grid(rng)
+            values = delta_total(coeffs, geo, s)
+            for si, v in zip(s.tolist(), values.tolist()):
+                a = delta_compositions(coeffs, geo, si)
+                assert abs(a - v) <= 1e-12 * max(1.0, abs(a))
+
+    def test_grid_shape_is_kept(self):
+        rng = np.random.default_rng(RNG_SEED + 12)
+        coeffs, geo, _ = random_instance(rng, n=5)
+        s = rng.uniform(0.0, 10.0, size=(3, 4))
+        values = delta_total(coeffs, geo, s)
+        assert values.shape == (3, 4)
+        assert values[2, 1] == delta_total(coeffs, geo, float(s[2, 1]))
+
+    def test_ideal_pair_vanishes_at_zero_frequency(self):
+        coeffs = NodeCoefficients((1.0, 1.0), (0.0, 0.0))
+        values = delta_total(coeffs, StackGeometry((1.0,)), np.array([0.0, 1.0]))
+        assert values[0] == 0.0
+        assert values[1] > 0.0
+
+    def test_exactly_one_where_exp_underflows(self):
+        rng = np.random.default_rng(RNG_SEED + 13)
+        for n in (2, 3, 8):
+            coeffs, geo, _ = random_instance(rng, n=n)
+            # exp(-s g) == 0.0 for every gap g >= 0.2
+            s = np.array([1e4, 1e5, np.inf])
+            assert np.exp(-s * min(geo.gaps)).tolist() == [0.0, 0.0, 0.0]
+            assert delta_total(coeffs, geo, s).tolist() == [1.0, 1.0, 1.0]
+
+
 class TestStructuralInvariants:
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(RNG_SEED + 5)

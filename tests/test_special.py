@@ -17,6 +17,9 @@ from casimir_plates.special import (
     ZETA4,
     QuadratureConvergenceError,
     QuadratureSpec,
+    _integrate_2d_bound,
+    _integrate_floor,
+    _panel,
     integrate_2d,
     integrate_t,
     li4,
@@ -196,6 +199,57 @@ class TestIntegrateT:
         f = lambda t: math.sin(3.0 * t) / (0.1 + t)
         assert integrate_t(f) == integrate_t(f)
 
+    def test_scalar_callable_sees_scalars(self):
+        seen = []
+
+        def f(t):
+            seen.append(np.ndim(t))
+            return t * t
+
+        assert integrate_t(f) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert seen and set(seen) == {0}
+
+    def test_array_integrand_one_call_per_panel(self):
+        sizes = []
+
+        def g(x):
+            sizes.append(x.shape)
+            return np.exp(x), np.zeros(x.shape)
+
+        value, _ = _integrate_floor(g, 0.0, 1.0, QuadratureSpec())
+        assert sizes and set(sizes) == {(46,)}
+        # same nodes, same sequential sums: the scalar adapter adds no rounding
+        assert value == integrate_t(lambda t: np.exp(t))
+
+    def test_panel_sums_node_by_node(self):
+        # the rules are summed in node order, one node at a time, as a loop
+        # over scalar evaluations would; np.dot or pairwise sums round differently
+        rng = np.random.default_rng(7)
+        lo_x, lo_w = np.polynomial.legendre.leggauss(15)
+        hi_x, hi_w = np.polynomial.legendre.leggauss(31)
+        a, b = 0.125, 0.75
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        for _ in range(20):
+            values = rng.uniform(-1.0, 1.0, size=46)
+            floors = rng.uniform(0.0, 1e-9, size=46)
+            nodes = []
+
+            def g(x):
+                nodes.append(x)
+                return values, floors
+
+            est, err, floor = _panel(g, a, b)
+            assert len(nodes) == 1
+            assert nodes[0].tolist() == (mid + half * np.concatenate((lo_x, hi_x))).tolist()
+            lo = 0.0
+            for wi, v in zip(lo_w, values[:15]):
+                lo += wi * v
+            hi = fl = 0.0
+            for wi, v, fe in zip(hi_w, values[15:], floors[15:]):
+                hi += wi * v
+                fl += wi * fe
+            assert (est, err, floor) == (half * hi, abs(half * (hi - lo)), half * fl)
+
     def test_non_convergence_carries_estimate(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
         with pytest.raises(QuadratureConvergenceError) as err:
@@ -234,6 +288,14 @@ class TestIntegrate2D:
         a = integrate_2d(f, spec, route="substitution")
         b = integrate_2d(f, spec, route="truncation", tail_coeff=1.0)
         assert a == pytest.approx(b, abs=1e-9)
+
+    def test_scalar_and_array_integrands_agree(self):
+        spec = QuadratureSpec()
+        scalar = integrate_2d(lambda t, s: math.log(1.0 - 0.5 * math.exp(-s) * (1 - t)), spec)
+        value, bound = _integrate_2d_bound(
+            lambda t, s: np.log(1.0 - 0.5 * np.exp(-s) * (1 - t)), spec
+        )
+        assert abs(scalar - value) <= bound
 
     def test_unknown_route(self):
         with pytest.raises(ValueError):
