@@ -84,6 +84,10 @@ _DISK_TOL = 1e-9
 # beyond that the quadrature route takes over.
 _POLYLOG_TRUST = 1e-6
 
+# The Delta polynomial is expanded over the 2**(n - 2) compositions of an
+# n-plate segment; longer segments are left to the quadrature route.
+_MAX_POLYLOG_PLATES = 16
+
 
 class PolylogPathError(RuntimeError):
     """The semi-analytic route could not certify this node."""
@@ -296,6 +300,11 @@ def _polylog_node(stack: StackSpec, t: float) -> Tuple[float, float]:
     for pol in Polarization:
         coeffs = _node_coefficients(stack, pol, t)
         for r_seg, t_seg in _opaque_segments(coeffs):
+            if len(r_seg) > _MAX_POLYLOG_PLATES:
+                raise PolylogPathError(
+                    f"a segment of {len(r_seg)} plates at t={t!r} exceeds the "
+                    f"{_MAX_POLYLOG_PLATES} plates the Delta polynomial is expanded for"
+                )
             if len(r_seg) == 2:
                 # pair: Delta = 1 - r r' x has the single inverse root r r'
                 value += li4(r_seg[0] * r_seg[1])
@@ -354,26 +363,29 @@ def energy_ratio_quadrature(
     g_min = min(stack.gaps)
     geometry = StackGeometry(tuple(g / g_min for g in stack.gaps))
 
-    cache: dict = {}
+    def log_delta(t: np.ndarray):
+        # per polarization, r and t_coef of the outer panel's nodes, shape (N, 46)
+        tables = []
+        for pol in Polarization:
+            nodes = [_node_coefficients(stack, pol, ti) for ti in t]
+            r = np.array([c.r for c in nodes]).T
+            tables.append((r, np.array([c.t_coef for c in nodes]).T))
 
-    def log_delta(t: float, s: np.ndarray) -> np.ndarray:
-        pair = cache.get(t)
-        if pair is None:
-            pair = tuple(_node_coefficients(stack, pol, t) for pol in Polarization)
-            cache.clear()
-            cache[t] = pair
-        total = 0.0
-        for coeffs in pair:
-            d = delta_total(coeffs, geometry, s)
-            bad = d <= 0.0
-            if bad.any():
-                j = int(np.argmax(bad))
-                raise DeltaDomainError(
-                    f"Delta = {float(d[j])!r} at t={float(t)!r}, s={float(s[j])!r}: "
-                    "invalid coefficient regime"
-                )
-            total = total + np.log(d)
-        return total
+        def block(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+            total = 0.0
+            for r, tc in tables:
+                d = delta_total((r[:, rows], tc[:, rows]), geometry, s)
+                bad = d <= 0.0
+                if bad.any():
+                    i, j = np.unravel_index(np.argmax(bad), bad.shape)
+                    raise DeltaDomainError(
+                        f"Delta = {float(d[i, j])!r} at t={float(t[rows[i]])!r}, "
+                        f"s={float(s[i, j])!r}: invalid coefficient regime"
+                    )
+                total = total + np.log(d)
+            return total
+
+        return block
 
     value, bound = _integrate_2d_bound(log_delta, spec, route="substitution")
     scale = _PREFACTOR_QUAD / g_min**3

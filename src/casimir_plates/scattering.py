@@ -2,8 +2,11 @@
 
 `delta_total`, the value the quadrature route uses, runs a division-free
 2x2 transfer matrix from the last plate to the first: ``O(N)`` work and no
-denominator that can vanish, on one ``s`` or on an array of them.  It is the dressed-mirror recursion, in which
+denominator that can vanish.  It is the dressed-mirror recursion, in which
 the sub-stack ``k..N-1`` acts as one mirror, with its denominators cleared.
+It runs on one node's coefficients with one ``s`` or an array of them, or
+on a block of k nodes, coefficients of shape ``(N, k)`` against ``s`` of
+shape ``(k, m)``, one row per node.
 
 The paper organizes Delta as a sum over compositions (ordered integer
 partitions) of ``N - 1``: a part of size 1 contributes a nearest-neighbour
@@ -115,37 +118,46 @@ def _compositions(n: int) -> Tuple[Composition, ...]:
     )
 
 
-def _check_sizes(coeffs: NodeCoefficients, geometry: StackGeometry) -> None:
-    if geometry.n_plates != coeffs.n_plates:
+def _check_sizes(n_plates: int, geometry: StackGeometry) -> None:
+    if geometry.n_plates != n_plates:
         raise ValueError(
             f"geometry is for {geometry.n_plates} plates, "
-            f"coefficients for {coeffs.n_plates}"
+            f"coefficients for {n_plates}"
         )
 
 
-def delta_total(coeffs: NodeCoefficients, geometry: StackGeometry, s):
+def delta_total(coeffs, geometry: StackGeometry, s):
     """Full multiple-scattering parameter at one (polarization, node) and ``s``.
 
     Runs the transfer matrix from ``P = r_{N-1}``, ``Q = 1`` down to plate
     0; with ``y_k = exp(-s g_k)`` each step is
 
-    ``P, Q = (t_k**2 - r_k**2) y_k P + r_k Q,  Q - r_k y_k P``
+    ``P, Q = (t_k t_k - r_k r_k) y_k P + r_k Q,  Q - r_k y_k P``
 
     and ``Delta = Q``.  ``Q_k`` and ``P_k`` are the denominator and the
     numerator of the reflection of the dressed sub-stack ``k..N-1``, so the
     recursion never divides.  ``Delta -> 1`` as ``s -> infinity``.
 
-    ``s`` may be a float or an ndarray; an array runs the same recursion
-    element by element and returns an array of the same shape, equal to
-    the scalar calls.
+    ``coeffs`` is either the `NodeCoefficients` of one node, with ``s`` a
+    float or an ndarray of any shape, or a block: a pair ``(r, t)`` of
+    arrays of shape ``(N, k)`` holding k nodes column by column, with ``s``
+    of shape ``(k, m)`` whose row ``i`` belongs to column ``i``.  Either
+    way the same recursion runs element by element and returns a result
+    shaped like ``s``, equal to the scalar calls.
     """
-    _check_sizes(coeffs, geometry)
-    r, t, gaps = coeffs.r, coeffs.t_coef, geometry.gaps
+    if isinstance(coeffs, NodeCoefficients):
+        r, t = coeffs.r, coeffs.t_coef
+    else:
+        r, t = (np.asarray(c, float)[:, :, None] for c in coeffs)
+    _check_sizes(len(r), geometry)
+    gaps = geometry.gaps
     p, q = r[-1], 1.0
     for k in range(len(gaps) - 1, -1, -1):
         yp = np.exp(s * -gaps[k]) * p
         rk = r[k]
-        p, q = (t[k] ** 2 - rk * rk) * yp + rk * q, q - rk * yp
+        # t_k * t_k rather than t_k ** 2: a float's ** goes through the C
+        # library's pow, which can round differently from numpy's squares
+        p, q = (t[k] * t[k] - rk * rk) * yp + rk * q, q - rk * yp
     return q
 
 
@@ -160,7 +172,7 @@ def delta_compositions(
     package evaluates Delta with `delta_total` and keeps this expansion as
     the independent reference the tests compare against.
     """
-    _check_sizes(coeffs, geometry)
+    _check_sizes(coeffs.n_plates, geometry)
     r, t, gaps = coeffs.r, coeffs.t_coef, geometry.gaps
     y = [math.exp(-s * g) for g in gaps]
     total = 0.0

@@ -17,9 +17,14 @@ below 4e-18.
 The integrators use open rules only (no endpoint evaluations), subdivide
 worst-panel-first with deterministic tie-breaking, and sum results in a
 fixed order, so a given tolerance specification always reproduces the same
-bits.  Internally an integrand is called once per panel on the array of
-all its nodes and returns arrays of values and noise floors; the public
-`integrate_t` and `integrate_2d` take scalar callables and adapt them.
+bits.  Internally one driver, `_integrate_many`, advances many independent
+integrals in lockstep: its integrand ``g(rows, x)`` gets a ``(k, 46)``
+array whose row ``i`` holds the 15 + 31 nodes of one panel of integral
+``rows[i]``, and returns arrays of values and noise floors of that shape.
+Each round evaluates the new panels of every unfinished integral in one
+such call.  The 2-D quadrature runs the inner integrals of all nodes of an
+outer panel this way.  The public `integrate_t` and `integrate_2d` take
+scalar callables and adapt them.
 """
 
 from __future__ import annotations
@@ -238,29 +243,106 @@ def _pointwise(f):
     return batch
 
 
-def _panel(g, a: float, b: float) -> Tuple[float, float, float]:
-    """High-order estimate, error estimate and noise floor on one panel.
+def _rules(g, rows, a: np.ndarray, b: np.ndarray):
+    """High-order estimates, error estimates and noise floors of k panels.
 
-    ``g`` is called once, on the array of the panel's 15 + 31 nodes (the
-    15-point rule's first), and returns two arrays: the values and a
-    ``floor`` per node that bounds the evaluation error of the value
-    itself.  The error estimate is the difference of the 15- and 31-point
-    Gauss rules; the floor is integrated with the high-order weights.  Each
-    rule is summed node by node in a fixed order.
+    Row ``i`` is the panel ``[a[i], b[i]]`` of integral ``rows[i]``.  ``g``
+    is called once, on the ``(k, 46)`` array of the panels' 15 + 31 nodes
+    (the 15-point rule's first), and returns two arrays of that shape: the
+    values and a ``floor`` per node that bounds the evaluation error of the
+    value itself.  The error estimate is the difference of the 15- and
+    31-point Gauss rules; the floor is integrated with the high-order
+    weights.  Each rule is summed column by column in node order, so every
+    row sees the same sequential sum a loop over its nodes would give.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    values, floors = g(mid + half * _NODES)
-    values = values.tolist()
+    values, floors = g(rows, mid[:, None] + half[:, None] * _NODES)
     lo = 0.0
-    for wi, v in zip(_W_LO, values[:_N_LO]):
-        lo += wi * v
+    for j, wi in enumerate(_W_LO):
+        lo = lo + wi * values[:, j]
     hi = 0.0
     floor = 0.0
-    for wi, v, fe in zip(_W_HI, values[_N_LO:], floors[_N_LO:].tolist()):
-        hi += wi * v
-        floor += wi * fe
-    return half * hi, abs(half * (hi - lo)), half * floor
+    for j, wi in enumerate(_W_HI, _N_LO):
+        hi = hi + wi * values[:, j]
+        floor = floor + wi * floors[:, j]
+    return (half * hi).tolist(), abs(half * (hi - lo)).tolist(), (half * floor).tolist()
+
+
+def _integrate_many(
+    g: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    m: int,
+    a: float,
+    b: float,
+    spec: QuadratureSpec,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Adaptive driver for ``m`` integrals over ``[a, b]`` advanced in lockstep.
+
+    Returns two arrays of length ``m``: the integrals and their total error
+    bounds.  ``g(rows, x)`` evaluates integral ``rows[i]`` on row ``i`` of
+    ``x`` (shape ``(k, 46)``) as `_rules` describes.
+
+    Each integral splits whichever of its panels carries the largest
+    reducible error until its summed error estimate drops below tolerance.
+    A panel whose estimate sinks below the integrated noise floor of its own
+    integrand values is never split further, which prevents endless
+    subdivision of integrands that are only known to limited accuracy.
+    Every round, each unfinished integral takes one such step, and all the
+    new half-panels are evaluated in one call of ``g``; the integrals share
+    nothing else, so each returns the bits it would return alone.
+
+    Raises
+    ------
+    QuadratureConvergenceError
+        For the lowest-numbered integral that exhausts its subdivision
+        budget, with that integral's estimate and bound.
+    """
+    panels = [{} for _ in range(m)]
+    heaps = [[] for _ in range(m)]
+    totals = [0.0] * m
+    bounds = [0.0] * m
+    active = list(range(m))
+    todo = [(i, a, b, 0) for i in active]  # (integral, panel ends, panel key)
+    splits = 0  # every unfinished integral has split this many panels
+    while todo:
+        rows, lows, highs, _ = (np.array(c) for c in zip(*todo))
+        for (i, pa, pb, key), pi, pe, pf in zip(todo, *_rules(g, rows, lows, highs)):
+            panels[i][key] = (pa, pb, pi, pe, pf)
+            if pe > pf:
+                heapq.heappush(heaps[i], (-pe, key))
+        todo = []
+        going = []
+        for i in active:
+            value = error = floor = 0.0
+            for _, _, pi, pe, pf in panels[i].values():
+                value += pi
+                error += pe
+                floor += pf
+            tol_total = max(spec.abs_tol, spec.rel_tol * abs(value))
+            # an empty heap: every panel is at its own noise floor
+            if error <= tol_total + floor or not heaps[i]:
+                total = bound = 0.0
+                for _, _, pi, pe, pf in sorted(panels[i].values()):
+                    total += pi
+                    bound += pe + pf
+                totals[i], bounds[i] = total, bound
+                continue
+            if splits >= spec.max_subdivisions:
+                # the integrals before this one have either converged or
+                # failed here first, so it is the one a sequential run hits
+                raise QuadratureConvergenceError(
+                    f"no convergence after {spec.max_subdivisions} subdivisions",
+                    float(value),
+                    float(error + floor),
+                )
+            _, key = heapq.heappop(heaps[i])
+            pa, pb = panels[i].pop(key)[:2]
+            pm = 0.5 * (pa + pb)
+            todo += ((i, pa, pm, 2 * splits + 1), (i, pm, pb, 2 * splits + 2))
+            going.append(i)
+        active = going
+        splits += 1
+    return np.array(totals), np.array(bounds)
 
 
 def _integrate_floor(
@@ -269,60 +351,18 @@ def _integrate_floor(
     b: float,
     spec: QuadratureSpec,
 ) -> Tuple[float, float]:
-    """Adaptive driver; returns (integral, total error bound).
+    """One adaptive integral; returns (integral, total error bound).
 
-    ``g`` is an array integrand as `_panel` describes: one call per panel.
-
-    Splits whichever panel currently carries the largest reducible error
-    until the summed error estimate drops below tolerance.  A panel whose
-    estimate sinks below the integrated noise floor of its own integrand
-    values is never split further, which prevents endless subdivision of
-    integrands that are only known to limited accuracy.
+    `_integrate_many` with ``m = 1``.  ``g(x)`` takes the 46 nodes of one
+    panel and returns their values and noise floors: one call per panel.
     """
-    panels = {0: (a, b, *_panel(g, a, b))}
-    heap = [(-panels[0][3], 0)]
-    counter = 1
-    splits = 0
-    while True:
-        value = error = floor = 0.0
-        for _, _, pi, pe, pf in panels.values():
-            value += pi
-            error += pe
-            floor += pf
-        tol_total = max(spec.abs_tol, spec.rel_tol * abs(value))
-        if error <= tol_total + floor:
-            break
-        while heap:
-            neg_err, key = heap[0]
-            live = panels.get(key)
-            if live is None or -neg_err != live[3]:
-                heapq.heappop(heap)  # stale entry
-                continue
-            break
-        if not heap or -heap[0][0] <= panels[heap[0][1]][4]:
-            break  # every panel is at its own noise floor
-        if splits >= spec.max_subdivisions:
-            raise QuadratureConvergenceError(
-                f"no convergence after {spec.max_subdivisions} subdivisions",
-                float(value),
-                float(error + floor),
-            )
-        splits += 1
-        _, key = heapq.heappop(heap)
-        pa, pb, _, _, _ = panels.pop(key)
-        pm = 0.5 * (pa + pb)
-        for lo, hi in ((pa, pm), (pm, pb)):
-            rec = (lo, hi, *_panel(g, lo, hi))
-            panels[counter] = rec
-            if rec[3] > rec[4]:
-                heapq.heappush(heap, (-rec[3], counter))
-            counter += 1
-    total = 0.0
-    bound = 0.0
-    for _, _, pi, pe, pf in sorted(panels.values()):
-        total += pi
-        bound += pe + pf
-    return float(total), float(bound)
+
+    def one_per_panel(rows, x):
+        pairs = [g(xi) for xi in x]
+        return np.array([v for v, _ in pairs]), np.array([fl for _, fl in pairs])
+
+    values, bounds = _integrate_many(one_per_panel, 1, a, b, spec)
+    return float(values[0]), float(bounds[0])
 
 
 def integrate_t(f: Callable[[float], float], spec: QuadratureSpec | None = None) -> float:
@@ -367,7 +407,7 @@ def _truncation_cutoff(spec: QuadratureSpec, tail_coeff: float) -> float:
 
 
 def _integrate_2d_bound(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]],
     spec: QuadratureSpec,
     *,
     route: str = "substitution",
@@ -375,34 +415,41 @@ def _integrate_2d_bound(
 ) -> Tuple[float, float]:
     """Core of `integrate_2d`; also returns the total error bound.
 
-    ``f(t, s)`` takes one angular node ``t`` and an array of frequencies
-    ``s`` (the nodes of one inner panel) and returns an array.
+    ``f(t)`` takes the angular nodes ``t`` of one outer panel (one call per
+    panel) and returns ``F(rows, s)``: row ``i`` of the ``(k, 46)``
+    frequencies ``s`` belongs to node ``t[rows[i]]``, and ``F`` returns the
+    integrand values in the same shape.  The inner integrals of all the
+    panel's nodes run in lockstep through `_integrate_many`.
     """
     ispec = _inner_spec(spec)
 
     if route == "substitution":
 
-        def inner(t: float) -> Tuple[float, float]:
-            def h(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-                lg = np.log(u)
-                return lg * lg * f(t, -lg) / u, np.zeros(u.shape)
+        def inner(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            F = f(t)
 
-            return _integrate_floor(h, 0.0, 1.0, ispec)
+            def h(rows: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                lg = np.log(u)
+                return lg * lg * F(rows, -lg) / u, np.zeros(u.shape)
+
+            return _integrate_many(h, t.size, 0.0, 1.0, ispec)
 
     elif route == "truncation":
         smax = _truncation_cutoff(spec, tail_coeff)
 
-        def inner(t: float) -> Tuple[float, float]:
-            def h(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-                return s * s * f(t, s), np.zeros(s.shape)
+        def inner(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            F = f(t)
 
-            value, bound = _integrate_floor(h, 0.0, smax, ispec)
-            return value, bound + 0.05 * spec.abs_tol
+            def h(rows: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                return s * s * F(rows, s), np.zeros(s.shape)
+
+            values, bounds = _integrate_many(h, t.size, 0.0, smax, ispec)
+            return values, bounds + 0.05 * spec.abs_tol
 
     else:
         raise ValueError(f"unknown route {route!r}")
 
-    return _integrate_floor(_pointwise(inner), 0.0, 1.0, spec)
+    return _integrate_floor(inner, 0.0, 1.0, spec)
 
 
 def integrate_2d(
@@ -431,5 +478,10 @@ def integrate_2d(
         Tail-bound constant for the truncation route.
     """
     spec = spec or QuadratureSpec()
-    value, _ = _integrate_2d_bound(_pointwise(f), spec, route=route, tail_coeff=tail_coeff)
+    pointwise = _pointwise(f)
+
+    def block(t):
+        return lambda rows, s: np.array([pointwise(t[i], x) for i, x in zip(rows, s)])
+
+    value, _ = _integrate_2d_bound(block, spec, route=route, tail_coeff=tail_coeff)
     return value

@@ -413,6 +413,24 @@ class TestRootDiagnostics:
         assert result.method == "quadrature"
 
 
+class TestLongUniformStacks:
+    def test_auto_falls_back_to_quadrature(self):
+        spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-7)
+        result = energy_ratio(uniform_stack((GRAPHENE,) * 64), spec)
+        assert result.method == "quadrature"
+        assert result.err_estimate <= max(spec.abs_tol, spec.rel_tol * abs(result.ratio))
+
+    def test_polylog_refuses_before_expanding_compositions(self, monkeypatch):
+        import casimir_plates.scattering as scattering_mod
+
+        def compositions(n):
+            raise AssertionError(f"compositions({n}) was called")
+
+        monkeypatch.setattr(scattering_mod, "compositions", compositions)
+        with pytest.raises(PolylogPathError):
+            energy_ratio(uniform_stack((GRAPHENE,) * 20), method="polylog")
+
+
 class TestQuadratureRoute:
     def test_repeat_is_bit_identical(self):
         stack = StackSpec((GRAPHENE, PE, GRAPHENE), (0.5, 1.5))
@@ -426,7 +444,7 @@ class TestQuadratureRoute:
 
         real_delta = energy_mod.delta_total
         real_coefficients = energy_mod._node_coefficients
-        seen_t, bad_s = [], []
+        seen_t, bad_s, rows_seen = [], [], []
 
         def node_coefficients(stack, pol, t):
             seen_t.append(t)
@@ -434,9 +452,11 @@ class TestQuadratureRoute:
 
         def poisoned_delta(coeffs, geometry, s):
             d = np.array(real_delta(coeffs, geometry, s))
-            d[7] = -0.25
-            d[20] = 0.0
-            bad_s.append(s[7])
+            d[1, 7] = -0.25
+            d[1, 20] = 0.0
+            d[2, 0] = -1.0  # a later row: (row, column) order names row 1
+            bad_s.append(s[1, 7])
+            rows_seen.append(s.shape[0])
             return d
 
         monkeypatch.setattr(energy_mod, "_node_coefficients", node_coefficients)
@@ -445,9 +465,68 @@ class TestQuadratureRoute:
         with pytest.raises(DeltaDomainError) as err:
             energy_ratio_quadrature(stack, QuadratureSpec(rel_tol=1e-6))
         message = str(err.value)
+        # the first call holds the first panel of all 46 nodes, row i at node i
+        assert rows_seen == [46]
         assert "Delta = -0.25" in message
-        assert f"t={float(seen_t[-1])!r}" in message
+        assert f"t={float(seen_t[1])!r}" in message
         assert f"s={float(bad_s[-1])!r}" in message
+
+    # the stacks of the benchmark's unequal-gap workload
+    UNEQUAL_GAP_STACKS = (
+        ((GRAPHENE,) * 3, (1.0, 2.0)),
+        (
+            (
+                GenericDeltaPlate(1.0, 0.5),
+                GenericDeltaPlate(3.0, 1.0),
+                ConstantConductivity(1.0),
+                GenericDeltaPlate(0.5, 2.0),
+            ),
+            (1.0, 1.5, 0.75),
+        ),
+        ((GRAPHENE, Transparent(), GRAPHENE), (1.0, 2.0)),
+        ((GRAPHENE, PE, GRAPHENE), (1.0, 2.0)),
+        (
+            (PM, ConstantConductivity(2.0), ConstantConductivity(0.5), ConstantConductivity(1.0)),
+            (1.0, 2.0, 1.5),
+        ),
+        (
+            (ConstantConductivity(1.0), ConstantConductivity(0.5), ConstantConductivity(2.0), PM),
+            (1.5, 2.0, 1.0),
+        ),
+    )
+
+    @pytest.mark.parametrize("plates, gaps", UNEQUAL_GAP_STACKS)
+    def test_lockstep_equals_per_node_integrals(self, plates, gaps):
+        # the route one node at a time: each inner integral on its own, with
+        # Delta on the 1-D array of one panel's frequencies
+        from casimir_plates.energy import _node_coefficients
+        from casimir_plates.scattering import StackGeometry, delta_total
+        from casimir_plates.special import _integrate_floor
+
+        stack = StackSpec(plates, gaps)
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
+        inner_spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-13)
+        g_min = min(gaps)
+        geometry = StackGeometry(tuple(g / g_min for g in gaps))
+
+        def node(t):
+            pair = [_node_coefficients(stack, pol, t) for pol in Polarization]
+
+            def h(u):
+                lg = np.log(u)
+                total = 0.0
+                for coeffs in pair:
+                    total = total + np.log(delta_total(coeffs, geometry, -lg))
+                return lg * lg * total / u, np.zeros(u.shape)
+
+            return _integrate_floor(h, 0.0, 1.0, inner_spec)
+
+        value, bound = _integrate_floor(
+            lambda x: np.array([node(t) for t in x]).T, 0.0, 1.0, spec
+        )
+        scale = -45.0 / (2.0 * math.pi**4) / g_min**3
+        result = energy_ratio_quadrature(stack, spec)
+        assert (result.ratio, result.err_estimate) == (scale * value, abs(scale) * bound)
 
 
 class TestStrongCouplingBound:

@@ -255,6 +255,25 @@ class TestArrayFrequencies:
         assert values.shape == (3, 4)
         assert values[2, 1] == delta_total(coeffs, geo, float(s[2, 1]))
 
+    def test_block_equals_scalar_calls(self):
+        # k nodes side by side: column i of (r, t) goes with row i of s
+        rng = np.random.default_rng(RNG_SEED + 13)
+        for n in (2, 3, 4, 7):
+            nodes = [random_instance(rng, n=n)[0] for _ in range(9)]
+            geo = StackGeometry(tuple(rng.uniform(0.5, 2.0, size=n - 1)))
+            r = np.array([c.r for c in nodes]).T
+            t = np.array([c.t_coef for c in nodes]).T
+            s = np.stack([self.s_grid(rng) for _ in nodes])
+            values = delta_total((r, t), geo, s)
+            assert values.shape == (len(nodes), 46)
+            for coeffs, row_s, row in zip(nodes, s.tolist(), values.tolist()):
+                assert row == [delta_total(coeffs, geo, si) for si in row_s]
+
+    def test_block_size_mismatch(self):
+        r = t = np.zeros((3, 2))
+        with pytest.raises(ValueError):
+            delta_total((r, t), StackGeometry((1.0,)), np.ones((2, 46)))
+
     def test_ideal_pair_vanishes_at_zero_frequency(self):
         coeffs = NodeCoefficients((1.0, 1.0), (0.0, 0.0))
         values = delta_total(coeffs, StackGeometry((1.0,)), np.array([0.0, 1.0]))

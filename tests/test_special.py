@@ -19,7 +19,7 @@ from casimir_plates.special import (
     QuadratureSpec,
     _integrate_2d_bound,
     _integrate_floor,
-    _panel,
+    _integrate_many,
     integrate_2d,
     integrate_t,
     li4,
@@ -229,26 +229,29 @@ class TestIntegrateT:
         hi_x, hi_w = np.polynomial.legendre.leggauss(31)
         a, b = 0.125, 0.75
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for _ in range(20):
-            values = rng.uniform(-1.0, 1.0, size=46)
-            floors = rng.uniform(0.0, 1e-9, size=46)
-            nodes = []
+        values = rng.uniform(-1.0, 1.0, size=(20, 46))
+        floors = rng.uniform(0.0, 1e-9, size=(20, 46))
+        nodes = []
 
-            def g(x):
-                nodes.append(x)
-                return values, floors
+        def g(rows, x):
+            nodes.append(x)
+            return values[rows], floors[rows]
 
-            est, err, floor = _panel(g, a, b)
-            assert len(nodes) == 1
-            assert nodes[0].tolist() == (mid + half * np.concatenate((lo_x, hi_x))).tolist()
+        # tolerances so loose that the first panel of every integral is final
+        spec = QuadratureSpec(rel_tol=1e300, abs_tol=1e300)
+        est, bound = _integrate_many(g, 20, a, b, spec)
+        assert len(nodes) == 1
+        row = (mid + half * np.concatenate((lo_x, hi_x))).tolist()
+        assert nodes[0].tolist() == [row] * 20
+        for i in range(20):
             lo = 0.0
-            for wi, v in zip(lo_w, values[:15]):
+            for wi, v in zip(lo_w, values[i, :15]):
                 lo += wi * v
             hi = fl = 0.0
-            for wi, v, fe in zip(hi_w, values[15:], floors[15:]):
+            for wi, v, fe in zip(hi_w, values[i, 15:], floors[i, 15:]):
                 hi += wi * v
                 fl += wi * fe
-            assert (est, err, floor) == (half * hi, abs(half * (hi - lo)), half * fl)
+            assert (est[i], bound[i]) == (half * hi, abs(half * (hi - lo)) + half * fl)
 
     def test_non_convergence_carries_estimate(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
@@ -264,6 +267,136 @@ class TestIntegrateT:
             QuadratureSpec(abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+def _peak(width, centre):
+    return lambda x: (1.0 / (width + (x - centre) ** 2), np.zeros(x.shape))
+
+
+def _batch(family, calls=None):
+    """``g(rows, x)`` of `_integrate_many` over 1-D integrands ``family[i](x)``."""
+
+    def g(rows, x):
+        if calls is not None:
+            calls.append(x.shape)
+        pairs = [family[i](xi) for i, xi in zip(rows, x)]
+        return np.array([v for v, _ in pairs]), np.array([fl for _, fl in pairs])
+
+    return g
+
+
+def _sequential_integral(f, a, b, spec):
+    """One integral by a plain loop: per panel the 46 nodes, each rule summed
+    node by node, worst panel split first, ties to the older panel."""
+    lo_x, lo_w = np.polynomial.legendre.leggauss(15)
+    hi_x, hi_w = np.polynomial.legendre.leggauss(31)
+
+    def panel(pa, pb):
+        mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+        values, floors = f(mid + half * np.concatenate((lo_x, hi_x)))
+        lo = hi = fl = 0.0
+        for wi, v in zip(lo_w.tolist(), values[:15].tolist()):
+            lo += wi * v
+        for wi, v, fe in zip(hi_w.tolist(), values[15:].tolist(), floors[15:].tolist()):
+            hi += wi * v
+            fl += wi * fe
+        return half * hi, abs(half * (hi - lo)), half * fl
+
+    panels = {0: (a, b, *panel(a, b))}
+    made = 1
+    while True:
+        value = error = floor = 0.0
+        for _, _, pi, pe, pf in panels.values():
+            value += pi
+            error += pe
+            floor += pf
+        splittable = [(-rec[3], key) for key, rec in panels.items() if rec[3] > rec[4]]
+        if error <= max(spec.abs_tol, spec.rel_tol * abs(value)) + floor or not splittable:
+            break
+        pa, pb = panels.pop(min(splittable)[1])[:2]
+        pm = 0.5 * (pa + pb)
+        for lo, hi in ((pa, pm), (pm, pb)):
+            panels[made] = (lo, hi, *panel(lo, hi))
+            made += 1
+    total = bound = 0.0
+    for _, _, pi, pe, pf in sorted(panels.values()):
+        total += pi
+        bound += pe + pf
+    return total, bound
+
+
+class TestIntegrateMany:
+    # converge after different numbers of rounds; sqrt stops at its noise floor
+    FAMILY = (
+        lambda x: (np.exp(x), np.zeros(x.shape)),
+        _peak(1e-2, 0.37),
+        lambda x: (np.sqrt(x), np.full(x.shape, 1e-7)),
+        _peak(1e-4, 0.61),
+        lambda x: (np.cos(20.0 * x), np.zeros(x.shape)),
+        _peak(1e-3, 0.05),
+    )
+
+    def test_equals_separate_runs_bit_for_bit(self):
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
+        separate, calls = [], []
+        for f in self.FAMILY:
+            n = []
+            g = lambda x, f=f: n.append(1) or f(x)
+            separate.append(_integrate_floor(g, 0.0, 1.0, spec))
+            calls.append(len(n))
+        assert len(set(calls)) >= 4  # the integrals finish in different rounds
+        m = len(self.FAMILY)
+        values, bounds = _integrate_many(_batch(self.FAMILY), m, 0.0, 1.0, spec)
+        assert [(v, b) for v, b in zip(values.tolist(), bounds.tolist())] == separate
+
+    def test_equals_a_plain_sequential_loop(self):
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
+        m = len(self.FAMILY)
+        values, bounds = _integrate_many(_batch(self.FAMILY), m, 0.0, 1.0, spec)
+        expected = [_sequential_integral(f, 0.0, 1.0, spec) for f in self.FAMILY]
+        assert list(zip(values.tolist(), bounds.tolist())) == expected
+
+    def test_noise_floor_integral_stops_short_of_tolerance(self):
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
+        value, bound = _integrate_many(_batch(self.FAMILY[2:3]), 1, 0.0, 1.0, spec)
+        assert bound[0] > spec.rel_tol
+        assert abs(value[0] - 2.0 / 3.0) <= bound[0]
+
+    def test_one_call_per_round(self):
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
+        shapes = []
+        _integrate_many(_batch(self.FAMILY, shapes), len(self.FAMILY), 0.0, 1.0, spec)
+        assert shapes[0] == (len(self.FAMILY), 46)
+        assert all(k % 2 == 0 and k <= 2 * len(self.FAMILY) and n == 46 for k, n in shapes[1:])
+        # one call per round: as many rounds as the slowest integral needs
+        slowest = []
+        _integrate_floor(lambda x: slowest.append(1) or self.FAMILY[3](x), 0.0, 1.0, spec)
+        assert len(shapes) == (len(slowest) + 1) // 2
+
+    def test_budget_error_matches_sequential_run(self):
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
+        family = (
+            lambda x: (x * x, np.zeros(x.shape)),
+            lambda x: (x**3, np.zeros(x.shape)),
+            _peak(1e-4, 0.37),
+            _peak(1e-6, 0.61),
+        )
+        _integrate_floor(family[0], 0.0, 1.0, spec)
+        _integrate_floor(family[1], 0.0, 1.0, spec)
+        errors = []
+        for f in family[2:]:
+            with pytest.raises(QuadratureConvergenceError) as err:
+                _integrate_floor(f, 0.0, 1.0, spec)
+            errors.append(err.value)
+        assert errors[0].estimate != errors[1].estimate
+        with pytest.raises(QuadratureConvergenceError) as err:
+            _integrate_many(_batch(family), len(family), 0.0, 1.0, spec)
+        expected = errors[0]  # integral #2, the lowest-numbered one to fail
+        assert str(err.value) == str(expected)
+        assert (err.value.estimate, err.value.error_bound) == (
+            expected.estimate,
+            expected.error_bound,
+        )
 
 
 class TestIntegrate2D:
@@ -293,7 +426,8 @@ class TestIntegrate2D:
         spec = QuadratureSpec()
         scalar = integrate_2d(lambda t, s: math.log(1.0 - 0.5 * math.exp(-s) * (1 - t)), spec)
         value, bound = _integrate_2d_bound(
-            lambda t, s: np.log(1.0 - 0.5 * np.exp(-s) * (1 - t)), spec
+            lambda t: lambda rows, s: np.log(1.0 - 0.5 * np.exp(-s) * (1 - t[rows, None])),
+            spec,
         )
         assert abs(scalar - value) <= bound
 
