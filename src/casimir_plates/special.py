@@ -224,8 +224,6 @@ _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(15)
 _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(31)
 _NODES = np.concatenate((_GL_LO_X, _GL_HI_X))
 _N_LO = _GL_LO_X.size
-_W_LO = _GL_LO_W.tolist()
-_W_HI = _GL_HI_W.tolist()
 
 
 def _pointwise(f):
@@ -252,20 +250,17 @@ def _rules(g, rows, a: np.ndarray, b: np.ndarray):
     values and a ``floor`` per node that bounds the evaluation error of the
     value itself.  The error estimate is the difference of the 15- and
     31-point Gauss rules; the floor is integrated with the high-order
-    weights.  Each rule is summed column by column in node order, so every
-    row sees the same sequential sum a loop over its nodes would give.
+    weights.  Each rule is summed node by node in node order, vectorised
+    across rows, so every row sees the same sequential sum a loop over its
+    nodes would give.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     values, floors = g(rows, mid[:, None] + half[:, None] * _NODES)
-    lo = 0.0
-    for j, wi in enumerate(_W_LO):
-        lo = lo + wi * values[:, j]
-    hi = 0.0
-    floor = 0.0
-    for j, wi in enumerate(_W_HI, _N_LO):
-        hi = hi + wi * values[:, j]
-        floor = floor + wi * floors[:, j]
+    # accumulate adds strictly in order; np.sum or np.dot may pair terms
+    lo = np.add.accumulate(values[:, :_N_LO] * _GL_LO_W, axis=1)[:, -1]
+    hi = np.add.accumulate(values[:, _N_LO:] * _GL_HI_W, axis=1)[:, -1]
+    floor = np.add.accumulate(floors[:, _N_LO:] * _GL_HI_W, axis=1)[:, -1]
     return (half * hi).tolist(), abs(half * (hi - lo)).tolist(), (half * floor).tolist()
 
 

@@ -20,6 +20,7 @@ from casimir_plates.special import (
     _integrate_2d_bound,
     _integrate_floor,
     _integrate_many,
+    _rules,
     integrate_2d,
     integrate_t,
     li4,
@@ -237,9 +238,7 @@ class TestIntegrateT:
             nodes.append(x)
             return values[rows], floors[rows]
 
-        # tolerances so loose that the first panel of every integral is final
-        spec = QuadratureSpec(rel_tol=1e300, abs_tol=1e300)
-        est, bound = _integrate_many(g, 20, a, b, spec)
+        est, err, floor = _rules(g, np.arange(20), np.full(20, a), np.full(20, b))
         assert len(nodes) == 1
         row = (mid + half * np.concatenate((lo_x, hi_x))).tolist()
         assert nodes[0].tolist() == [row] * 20
@@ -251,7 +250,7 @@ class TestIntegrateT:
             for wi, v, fe in zip(hi_w, values[i, 15:], floors[i, 15:]):
                 hi += wi * v
                 fl += wi * fe
-            assert (est[i], bound[i]) == (half * hi, abs(half * (hi - lo)) + half * fl)
+            assert (est[i], err[i], floor[i]) == (half * hi, abs(half * (hi - lo)), half * fl)
 
     def test_non_convergence_carries_estimate(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
@@ -336,24 +335,17 @@ class TestIntegrateMany:
         _peak(1e-3, 0.05),
     )
 
-    def test_equals_separate_runs_bit_for_bit(self):
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
-        separate, calls = [], []
-        for f in self.FAMILY:
-            n = []
-            g = lambda x, f=f: n.append(1) or f(x)
-            separate.append(_integrate_floor(g, 0.0, 1.0, spec))
-            calls.append(len(n))
-        assert len(set(calls)) >= 4  # the integrals finish in different rounds
-        m = len(self.FAMILY)
-        values, bounds = _integrate_many(_batch(self.FAMILY), m, 0.0, 1.0, spec)
-        assert [(v, b) for v, b in zip(values.tolist(), bounds.tolist())] == separate
-
     def test_equals_a_plain_sequential_loop(self):
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
         m = len(self.FAMILY)
         values, bounds = _integrate_many(_batch(self.FAMILY), m, 0.0, 1.0, spec)
-        expected = [_sequential_integral(f, 0.0, 1.0, spec) for f in self.FAMILY]
+        expected, calls = [], []
+        for f in self.FAMILY:
+            n = []
+            counted = lambda x, f=f: n.append(1) or f(x)
+            expected.append(_sequential_integral(counted, 0.0, 1.0, spec))
+            calls.append(len(n))
+        assert len(set(calls)) >= 4  # the integrals finish in different rounds
         assert list(zip(values.tolist(), bounds.tolist())) == expected
 
     def test_noise_floor_integral_stops_short_of_tolerance(self):
