@@ -37,10 +37,8 @@ from .optics import (
     coefficients,
 )
 from .scattering import (
-    Composition,
     NodeCoefficients,
     StackGeometry,
-    compositions,
     delta_compositions,
     delta_polynomial,
     delta_total,
@@ -50,8 +48,6 @@ from .special import (
     ZETA4,
     QuadratureConvergenceError,
     QuadratureSpec,
-    integrate_2d,
-    integrate_t,
     li4,
     s_integral,
 )
@@ -101,10 +97,8 @@ __all__ = [
     "Transparent",
     "coefficients",
     # scattering
-    "Composition",
     "NodeCoefficients",
     "StackGeometry",
-    "compositions",
     "delta_compositions",
     "delta_polynomial",
     "delta_total",
@@ -113,8 +107,6 @@ __all__ = [
     "ZETA4",
     "QuadratureConvergenceError",
     "QuadratureSpec",
-    "integrate_2d",
-    "integrate_t",
     "li4",
     "s_integral",
     # energy

@@ -17,7 +17,7 @@ import dataclasses
 import sys
 from typing import List, Optional, Tuple
 
-from .config import ConfigError, RunConfig, parse_config, validate_config
+from .config import _METHODS, ConfigError, RunConfig, parse_config, validate_config
 from .energy import (
     DeltaDomainError,
     PolylogPathError,
@@ -26,7 +26,7 @@ from .energy import (
     sweep,
 )
 from .presets import PRESET_NAMES, list_presets, preset_configs
-from .special import QuadratureConvergenceError, QuadratureSpec
+from .special import QuadratureConvergenceError
 
 _HEADER = "sigma,ratio,per_plate,err_estimate,method"
 
@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--method",
-        choices=("auto", "polylog", "quadrature", "ideal"),
+        choices=_METHODS,
         help="override the evaluation route",
     )
     parser.add_argument(
@@ -76,10 +76,7 @@ def _format_row(sigma: Optional[float], result) -> str:
 
 def _run_config(config: RunConfig) -> Tuple[List[str], str]:
     """CSV rows and a one-line summary for one stack."""
-    spec = QuadratureSpec(
-        rel_tol=config.rel_tol if config.rel_tol is not None else 1e-9,
-        abs_tol=config.abs_tol if config.abs_tol is not None else 1e-12,
-    )
+    spec = config.quadrature_spec()
     stack = config.to_spec()
     if config.sweep_grid is not None:
         points = sweep(

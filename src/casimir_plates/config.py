@@ -41,6 +41,7 @@ from .optics import (
     SweepSlot,
     Transparent,
 )
+from .special import QuadratureSpec
 
 __all__ = [
     "ConfigError",
@@ -92,6 +93,11 @@ class RunConfig:
     def to_spec(self) -> StackSpec:
         gaps = self.gaps if self.gaps is not None else (1.0,) * (len(self.plates) - 1)
         return StackSpec(tuple(self.plates), gaps)
+
+    def quadrature_spec(self) -> QuadratureSpec:
+        """The tolerances set here, `QuadratureSpec`'s defaults for the rest."""
+        tols = {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol}
+        return QuadratureSpec(**{k: v for k, v in tols.items() if v is not None})
 
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
@@ -247,9 +253,10 @@ def validate_config(config: RunConfig) -> None:
             raise ConfigError("log sweeps need a positive start")
         if grid.kind == "linear" and grid.start < 0.0:
             raise ConfigError("conductivities are non-negative")
-    for name, value in (("rel-tol", config.rel_tol), ("abs-tol", config.abs_tol)):
-        if value is not None and not value > 0.0:
-            raise ConfigError(f"{name} must be positive")
+    try:
+        config.quadrature_spec()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _format_plate(plate: Material) -> str:

@@ -35,11 +35,11 @@ from .optics import (
 )
 from .scattering import NodeCoefficients, StackGeometry, delta_polynomial, delta_total
 from .special import (
+    _ZETA3,
     QuadratureConvergenceError,
     QuadratureSpec,
     _integrate_floor,
     _integrate_2d_bound,
-    _pointwise,
     li4,
 )
 
@@ -69,9 +69,6 @@ C_LIGHT = 2.99792458e8
 
 _PREFACTOR_POLYLOG = 45.0 / math.pi**4
 _PREFACTOR_QUAD = -45.0 / (2.0 * math.pi**4)
-
-# Lipschitz constant of Li4 on the closed unit disk: |Li4'| <= zeta(3).
-_ZETA3 = 1.2020569031595943
 
 _EPS = float(np.finfo(float).eps)
 
@@ -134,17 +131,15 @@ class StackSpec:
 
     def __post_init__(self):
         plates = tuple(self.plates)
-        gaps = tuple(float(g) for g in self.gaps)
+        gaps = tuple(self.gaps)
         if len(plates) < 2:
             raise ValueError("a stack needs at least two plates")
         if len(gaps) != len(plates) - 1:
             raise ValueError(
                 f"{len(plates)} plates need {len(plates) - 1} gaps, got {len(gaps)}"
             )
-        if not all(g > 0.0 and math.isfinite(g) for g in gaps):
-            raise ValueError(f"gaps must be positive and finite, got {gaps}")
         object.__setattr__(self, "plates", plates)
-        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "gaps", StackGeometry(gaps).gaps)
 
     @property
     def n_plates(self) -> int:
@@ -267,7 +262,7 @@ def _inverse_roots(poly: Sequence[float]) -> Tuple[np.ndarray, float]:
             raise ValueError(
                 f"inverse root at |w| = {aw[j]!r} exceeds its error bar {bar[j]!r}"
             )
-        err = _ZETA3 * float(np.sum(bar))
+        err = _ZETA3 * float(np.sum(bar))  # |Li4'| <= zeta(3) on the closed disk
         w = np.where(aw > 1.0, w / aw, w)
     order = np.lexsort((w.imag, w.real))
     return w[order], err
@@ -340,7 +335,7 @@ def energy_ratio_polylog(
         raise ValueError("the polylog route requires uniform gaps")
     g = stack.gaps[0]
     value, bound = _integrate_floor(
-        _pointwise(lambda t: _polylog_node(stack, t)), 0.0, 1.0, spec
+        lambda x: np.array([_polylog_node(stack, t) for t in x]).T, 0.0, 1.0, spec
     )
     scale = _PREFACTOR_POLYLOG / g**3
     ratio = scale * value
@@ -387,7 +382,7 @@ def energy_ratio_quadrature(
 
         return block
 
-    value, bound = _integrate_2d_bound(log_delta, spec, route="substitution")
+    value, bound = _integrate_2d_bound(log_delta, spec)
     scale = _PREFACTOR_QUAD / g_min**3
     ratio = scale * value
     return EnergyResult(ratio, ratio / stack.n_plates, "quadrature", abs(scale) * bound)
@@ -422,6 +417,8 @@ def energy_ratio(
     semi-analytic route aborts or cannot certify the requested tolerance.
     """
     spec = spec or QuadratureSpec()
+    if method == "auto" and stack.all_ideal and all(g == 1.0 for g in stack.gaps):
+        method = "ideal"
     if method == "polylog":
         return energy_ratio_polylog(stack, spec)
     if method == "quadrature":
@@ -431,9 +428,6 @@ def energy_ratio(
         return EnergyResult(ratio, ratio / stack.n_plates, "ideal", 0.0)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    if stack.all_ideal and all(g == 1.0 for g in stack.gaps):
-        ratio = float(ideal_stack_ratio(stack))
-        return EnergyResult(ratio, ratio / stack.n_plates, "ideal", 0.0)
     if stack.uniform:
         try:
             result = energy_ratio_polylog(stack, spec)

@@ -2,8 +2,9 @@
 
 Provides the fourth-order polylogarithm on the closed unit disk, the
 closed-form frequency integral ``int_0^inf s^2 ln(1 - c e^-s) ds``, a
-deterministic adaptive Gauss-Legendre integrator on [0, 1], and a fully
-independent two-dimensional quadrature over the (angle, frequency) domain.
+deterministic adaptive Gauss-Legendre integrator on [0, 1], and a
+two-dimensional quadrature over the (angle, frequency) domain that maps the
+frequency axis onto (0, 1] by ``u = e^-s``.
 
 ``li4`` costs a fixed few dozen terms per call anywhere on the disk.
 Below the switch radius ``|z| < 1/2`` it sums the defining series
@@ -23,8 +24,7 @@ array whose row ``i`` holds the 15 + 31 nodes of one panel of integral
 ``rows[i]``, and returns arrays of values and noise floors of that shape.
 Each round evaluates the new panels of every unfinished integral in one
 such call.  The 2-D quadrature runs the inner integrals of all nodes of an
-outer panel this way.  The public `integrate_t` and `integrate_2d` take
-scalar callables and adapt them.
+outer panel this way.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "li4",
     "s_integral",
-    "integrate_t",
-    "integrate_2d",
 ]
 
 #: Li4(1) = zeta(4) = pi^4 / 90.
@@ -104,8 +102,11 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf for tol in (self.rel_tol, self.abs_tol)):
+            raise ValueError(
+                f"tolerances must be positive and finite, got rel_tol={self.rel_tol!r}, "
+                f"abs_tol={self.abs_tol!r}"
+            )
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
@@ -224,21 +225,6 @@ _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(15)
 _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(31)
 _NODES = np.concatenate((_GL_LO_X, _GL_HI_X))
 _N_LO = _GL_LO_X.size
-
-
-def _pointwise(f):
-    """Array form of a scalar callable, for the integrators.
-
-    ``_pointwise(f)(*args, nodes)`` calls ``f(*args, x)`` for each node in
-    order and stacks the results; a tuple-valued ``f`` gives one array per
-    component.
-    """
-
-    def batch(*args):
-        *fixed, nodes = args
-        return np.array([f(*fixed, x) for x in nodes]).T
-
-    return batch
 
 
 def _rules(g, rows, a: np.ndarray, b: np.ndarray):
@@ -360,123 +346,32 @@ def _integrate_floor(
     return float(values[0]), float(bounds[0])
 
 
-def integrate_t(f: Callable[[float], float], spec: QuadratureSpec | None = None) -> float:
-    """Integral of ``f`` over the angular interval [0, 1].
-
-    Deterministic adaptive Gauss-Legendre integration with open panels (the
-    endpoints are never evaluated).
-
-    Raises
-    ------
-    QuadratureConvergenceError
-        If the subdivision budget is exhausted; the error carries the best
-        estimate and its bound.
-    """
-    spec = spec or QuadratureSpec()
-    value, _ = _integrate_floor(_pointwise(lambda x: (f(x), 0.0)), 0.0, 1.0, spec)
-    return value
-
-
-def _inner_spec(spec: QuadratureSpec) -> QuadratureSpec:
-    return QuadratureSpec(
-        rel_tol=spec.rel_tol * 0.1,
-        abs_tol=spec.abs_tol * 0.1,
-        max_subdivisions=spec.max_subdivisions,
-    )
-
-
-def _truncation_cutoff(spec: QuadratureSpec, tail_coeff: float) -> float:
-    """Frequency cutoff with a certified tail for ``|f| <= C exp(-s)``.
-
-    The neglected tail is ``C e^-smax (smax^2 + 2 smax + 2)``; the cutoff is
-    chosen so it sits well below the absolute tolerance.
-    """
-    target = 0.05 * spec.abs_tol / max(tail_coeff, 1e-300)
-    smax = 30.0
-    for _ in range(60):
-        tail = math.exp(-smax) * (smax * smax + 2.0 * smax + 2.0)
-        if tail <= target:
-            return smax
-        smax += 5.0
-    return smax
-
-
 def _integrate_2d_bound(
     f: Callable[[np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]],
     spec: QuadratureSpec,
-    *,
-    route: str = "substitution",
-    tail_coeff: float = 1.0,
 ) -> Tuple[float, float]:
-    """Core of `integrate_2d`; also returns the total error bound.
+    """Integral ``int_0^1 dt int_0^inf s^2 f(t, s) ds`` and its total error bound.
 
     ``f(t)`` takes the angular nodes ``t`` of one outer panel (one call per
     panel) and returns ``F(rows, s)``: row ``i`` of the ``(k, 46)``
     frequencies ``s`` belongs to node ``t[rows[i]]``, and ``F`` returns the
-    integrand values in the same shape.  The inner integrals of all the
-    panel's nodes run in lockstep through `_integrate_many`.
+    integrand values in the same shape.  ``s^2 F`` must be absolutely
+    integrable, which in practice means ``F`` decays exponentially in ``s``.
+
+    The substitution ``u = exp(-s)`` maps the frequency axis onto (0, 1]
+    with integrand ``ln(u)^2 F(rows, -ln u) / u`` and no tail heuristics.
+    The inner integrals of all the panel's nodes run in lockstep through
+    `_integrate_many`.
     """
-    ispec = _inner_spec(spec)
+    ispec = QuadratureSpec(spec.rel_tol * 0.1, spec.abs_tol * 0.1, spec.max_subdivisions)
 
-    if route == "substitution":
+    def inner(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        F = f(t)
 
-        def inner(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            F = f(t)
+        def h(rows: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            lg = np.log(u)
+            return lg * lg * F(rows, -lg) / u, np.zeros(u.shape)
 
-            def h(rows: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-                lg = np.log(u)
-                return lg * lg * F(rows, -lg) / u, np.zeros(u.shape)
-
-            return _integrate_many(h, t.size, 0.0, 1.0, ispec)
-
-    elif route == "truncation":
-        smax = _truncation_cutoff(spec, tail_coeff)
-
-        def inner(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            F = f(t)
-
-            def h(rows: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-                return s * s * F(rows, s), np.zeros(s.shape)
-
-            values, bounds = _integrate_many(h, t.size, 0.0, smax, ispec)
-            return values, bounds + 0.05 * spec.abs_tol
-
-    else:
-        raise ValueError(f"unknown route {route!r}")
+        return _integrate_many(h, t.size, 0.0, 1.0, ispec)
 
     return _integrate_floor(inner, 0.0, 1.0, spec)
-
-
-def integrate_2d(
-    f: Callable[[float, float], float],
-    spec: QuadratureSpec | None = None,
-    *,
-    route: str = "substitution",
-    tail_coeff: float = 1.0,
-) -> float:
-    """Integral ``int_0^1 dt int_0^inf s^2 f(t, s) ds``.
-
-    The default route substitutes ``u = exp(-s)``, mapping the frequency
-    axis onto (0, 1] with integrand ``ln(u)^2 f(t, -ln u) / u`` and no tail
-    heuristics.  The alternative ``route="truncation"`` integrates the
-    ``s`` axis directly up to a cutoff certified by ``|f| <= tail_coeff *
-    exp(-s)``; it exists as an independent diagnostic of the substitution.
-
-    Parameters
-    ----------
-    f : callable
-        Bounded integrand; ``s**2 f(t, s)`` must be absolutely integrable,
-        which in practice means ``f`` decays exponentially in ``s``.
-    spec : QuadratureSpec, optional
-    route : {"substitution", "truncation"}
-    tail_coeff : float
-        Tail-bound constant for the truncation route.
-    """
-    spec = spec or QuadratureSpec()
-    pointwise = _pointwise(f)
-
-    def block(t):
-        return lambda rows, s: np.array([pointwise(t[i], x) for i, x in zip(rows, s)])
-
-    value, _ = _integrate_2d_bound(block, spec, route=route, tail_coeff=tail_coeff)
-    return value

@@ -1,6 +1,7 @@
 """Config grammar round-trips, CLI exit codes, and CSV output."""
 
 import csv
+import math
 
 import pytest
 
@@ -95,6 +96,13 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError):
             validate_config(parse_config(text))
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    def test_rejects_infinite_tolerance(self, field):
+        # validate_config itself rejects it: CLI overrides never reach the parser
+        config = RunConfig(plates=(PerfectElectric(), PerfectMagnetic()), **{field: math.inf})
+        with pytest.raises(ConfigError, match="finite"):
+            validate_config(config)
+
     def test_error_carries_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("plate pe\nplate sigma\n")
@@ -152,6 +160,13 @@ class TestExitCodes:
     def test_invalid_method_override(self, capsys):
         assert main(["--preset", "graphene-pair", "--method", "ideal"]) == 2
         capsys.readouterr()
+
+    def test_infinite_rel_tol_override(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        args = ["--preset", "graphene-pair", "--rel-tol", "inf", "--output", str(out)]
+        assert main(args) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure(self, monkeypatch, capsys):
         import casimir_plates.cli as cli_mod

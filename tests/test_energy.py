@@ -39,7 +39,7 @@ from casimir_plates.optics import (
     AngularNode,
     coefficients,
 )
-from casimir_plates.special import QuadratureSpec, integrate_t, li4
+from casimir_plates.special import QuadratureSpec, _integrate_floor, li4
 
 GRAPHENE = ConstantConductivity(SIGMA_GRAPHENE)
 PE = PerfectElectric()
@@ -53,6 +53,12 @@ GRAPHENE_RATIOS = {
     5: 0.022330307141,
     6: 0.028007407939,
 }
+
+
+def integrate_t(f):
+    """``int_0^1 f(t) dt`` of a scalar callable, one call per node."""
+    g = lambda x: (np.array([f(t) for t in x]), np.zeros(x.shape))
+    return _integrate_floor(g, 0.0, 1.0, QuadratureSpec())[0]
 
 
 def uniform_stack(plates, gap=1.0):

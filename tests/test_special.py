@@ -21,13 +21,17 @@ from casimir_plates.special import (
     _integrate_floor,
     _integrate_many,
     _rules,
-    integrate_2d,
-    integrate_t,
     li4,
     s_integral,
 )
 
 mpmath.mp.dps = 30
+
+
+def integrate_t(f, spec=None):
+    """``int_0^1 f(t) dt`` of a scalar callable, one call per node."""
+    g = lambda x: (np.array([f(t) for t in x]), np.zeros(x.shape))
+    return _integrate_floor(g, 0.0, 1.0, spec or QuadratureSpec())[0]
 
 
 def mp_li4(z):
@@ -200,16 +204,6 @@ class TestIntegrateT:
         f = lambda t: math.sin(3.0 * t) / (0.1 + t)
         assert integrate_t(f) == integrate_t(f)
 
-    def test_scalar_callable_sees_scalars(self):
-        seen = []
-
-        def f(t):
-            seen.append(np.ndim(t))
-            return t * t
-
-        assert integrate_t(f) == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert seen and set(seen) == {0}
-
     def test_array_integrand_one_call_per_panel(self):
         sizes = []
 
@@ -217,10 +211,8 @@ class TestIntegrateT:
             sizes.append(x.shape)
             return np.exp(x), np.zeros(x.shape)
 
-        value, _ = _integrate_floor(g, 0.0, 1.0, QuadratureSpec())
+        _integrate_floor(g, 0.0, 1.0, QuadratureSpec())
         assert sizes and set(sizes) == {(46,)}
-        # same nodes, same sequential sums: the scalar adapter adds no rounding
-        assert value == integrate_t(lambda t: np.exp(t))
 
     def test_panel_sums_node_by_node(self):
         # the rules are summed in node order, one node at a time, as a loop
@@ -266,6 +258,10 @@ class TestIntegrateT:
             QuadratureSpec(abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(rel_tol=math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(abs_tol=math.inf)
 
 
 def _peak(width, centre):
@@ -391,42 +387,38 @@ class TestIntegrateMany:
         )
 
 
+def _kernel(f):
+    """`_integrate_2d_bound` integrand of an array kernel ``f(t, s)``."""
+    return lambda t: lambda rows, s: f(t[rows, None], s)
+
+
 class TestIntegrate2D:
+    """``int_0^1 dt int_0^inf s^2 f(t, s) ds`` against closed forms."""
+
+    def assert_exact(self, f, exact, rel):
+        value, bound = _integrate_2d_bound(_kernel(f), QuadratureSpec())
+        assert value == pytest.approx(exact, rel=rel)
+        assert abs(value - exact) <= bound
+
     def test_gamma_three(self):
-        assert integrate_2d(lambda t, s: math.exp(-s)) == pytest.approx(2.0, rel=1e-10)
+        self.assert_exact(lambda t, s: np.exp(-s), 2.0, rel=1e-10)
 
     def test_attractive_pair_kernel(self):
-        value = integrate_2d(lambda t, s: math.log(1.0 - math.exp(-s)))
-        assert value == pytest.approx(-math.pi**4 / 45.0, rel=1e-9)
+        self.assert_exact(lambda t, s: np.log(1.0 - np.exp(-s)), -math.pi**4 / 45.0, rel=1e-9)
 
     def test_repulsive_pair_kernel(self):
-        value = integrate_2d(lambda t, s: math.log(1.0 + math.exp(-s)))
-        assert value == pytest.approx(7.0 * math.pi**4 / 360.0, rel=1e-9)
+        self.assert_exact(lambda t, s: np.log(1.0 + np.exp(-s)), 7.0 * math.pi**4 / 360.0, rel=1e-9)
 
     def test_separable_angular_factor(self):
-        value = integrate_2d(lambda t, s: t * math.exp(-s))
-        assert value == pytest.approx(1.0, rel=1e-10)
+        self.assert_exact(lambda t, s: t * np.exp(-s), 1.0, rel=1e-10)
 
-    def test_truncation_route_agrees(self):
-        spec = QuadratureSpec()
-        f = lambda t, s: math.log(1.0 - 0.8 * t * math.exp(-s))
-        a = integrate_2d(f, spec, route="substitution")
-        b = integrate_2d(f, spec, route="truncation", tail_coeff=1.0)
-        assert a == pytest.approx(b, abs=1e-9)
-
-    def test_scalar_and_array_integrands_agree(self):
-        spec = QuadratureSpec()
-        scalar = integrate_2d(lambda t, s: math.log(1.0 - 0.5 * math.exp(-s) * (1 - t)), spec)
-        value, bound = _integrate_2d_bound(
-            lambda t: lambda rows, s: np.log(1.0 - 0.5 * np.exp(-s) * (1 - t[rows, None])),
-            spec,
-        )
-        assert abs(scalar - value) <= bound
-
-    def test_unknown_route(self):
-        with pytest.raises(ValueError):
-            integrate_2d(lambda t, s: 0.0, route="resummation")
+    def test_angle_dependent_kernel_exact_series(self):
+        # int_0^1 -2 Li4(0.8 t) dt = -2 sum_k 0.8^k / (k^4 (k + 1))
+        c = mpmath.mpf(0.8)
+        exact = float(-2 * mpmath.nsum(lambda k: c**k / (k**4 * (k + 1)), [1, mpmath.inf]))
+        assert exact == pytest.approx(-0.83073882798529, abs=1e-14)
+        self.assert_exact(lambda t, s: np.log(1.0 - 0.8 * t * np.exp(-s)), exact, rel=1e-9)
 
     def test_determinism(self):
-        f = lambda t, s: math.log(1.0 - 0.5 * math.exp(-s) * (1 - t))
-        assert integrate_2d(f) == integrate_2d(f)
+        f = _kernel(lambda t, s: np.log(1.0 - 0.5 * np.exp(-s) * (1 - t)))
+        assert _integrate_2d_bound(f, QuadratureSpec()) == _integrate_2d_bound(f, QuadratureSpec())
