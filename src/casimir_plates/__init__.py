@@ -24,8 +24,6 @@ config files and named presets.
 from .optics import (
     ALPHA_FS,
     SIGMA_GRAPHENE,
-    AngularNode,
-    Coefficients,
     ConstantConductivity,
     GenericDeltaPlate,
     Material,
@@ -85,8 +83,6 @@ __all__ = [
     # optics
     "ALPHA_FS",
     "SIGMA_GRAPHENE",
-    "AngularNode",
-    "Coefficients",
     "ConstantConductivity",
     "GenericDeltaPlate",
     "Material",

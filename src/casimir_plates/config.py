@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _METHODS = ("auto", "polylog", "quadrature", "ideal")
+_GRID_KINDS = ("log", "linear")
+_PLAIN_PLATES = {"pe": PerfectElectric, "pm": PerfectMagnetic, "transparent": Transparent}
 
 
 class ConfigError(ValueError):
@@ -127,25 +129,17 @@ def _parse_plate(args, lineno: int) -> Material:
             _parse_float(params[0], lineno, "electric coupling"),
             _parse_float(params[1], lineno, "magnetic coupling"),
         )
-    ideal = {"pe": PerfectElectric, "pm": PerfectMagnetic, "transparent": Transparent}
-    if kind not in ideal:
+    if kind not in _PLAIN_PLATES:
         raise ConfigError(f"line {lineno}: unknown plate kind {kind!r}")
     if params:
         raise ConfigError(f"line {lineno}: plate {kind} takes no parameters")
-    return ideal[kind]()
+    return _PLAIN_PLATES[kind]()
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse configuration text; raises `ConfigError` with a line number."""
     plates = []
-    gaps = None
-    method = "auto"
-    sweep_grid = None
-    sweep_shared = False
-    rel_tol = None
-    abs_tol = None
-    output = None
-    label = "stack"
+    fields = {}  # the directives met; `RunConfig` supplies the other defaults
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -161,23 +155,19 @@ def parse_config(text: str) -> RunConfig:
         elif key == "gaps":
             if not args:
                 raise ConfigError(f"line {lineno}: gaps needs at least one value")
-            gaps = tuple(_parse_float(a, lineno, "gap") for a in args)
+            fields["gaps"] = tuple(_parse_float(a, lineno, "gap") for a in args)
         elif key == "method":
             if len(args) != 1 or args[0] not in _METHODS:
                 raise ConfigError(
                     f"line {lineno}: method must be one of {', '.join(_METHODS)}"
                 )
-            method = args[0]
-        elif key == "rel-tol":
+            fields["method"] = args[0]
+        elif key in ("rel-tol", "abs-tol"):
             if len(args) != 1:
-                raise ConfigError(f"line {lineno}: rel-tol takes one value")
-            rel_tol = _parse_float(args[0], lineno, "rel-tol")
-        elif key == "abs-tol":
-            if len(args) != 1:
-                raise ConfigError(f"line {lineno}: abs-tol takes one value")
-            abs_tol = _parse_float(args[0], lineno, "abs-tol")
+                raise ConfigError(f"line {lineno}: {key} takes one value")
+            fields[key.replace("-", "_")] = _parse_float(args[0], lineno, key)
         elif key == "sweep":
-            if len(args) != 4 or args[0] not in ("log", "linear"):
+            if len(args) != 4 or args[0] not in _GRID_KINDS:
                 raise ConfigError(
                     f"line {lineno}: expected 'sweep log|linear <start> <stop> <points>'"
                 )
@@ -187,32 +177,22 @@ def parse_config(text: str) -> RunConfig:
                 points = int(args[3])
             except ValueError:
                 raise ConfigError(f"line {lineno}: sweep points must be an integer") from None
-            sweep_grid = SweepGrid(args[0], start, stop, points)
+            fields["sweep_grid"] = SweepGrid(args[0], start, stop, points)
         elif key == "sweep-shared":
             if args:
                 raise ConfigError(f"line {lineno}: sweep-shared takes no parameters")
-            sweep_shared = True
+            fields["sweep_shared"] = True
         elif key == "output":
             if len(args) != 1:
                 raise ConfigError(f"line {lineno}: output takes one path")
-            output = args[0]
+            fields["output"] = args[0]
         elif key == "label":
             if len(args) != 1:
                 raise ConfigError(f"line {lineno}: label takes one word")
-            label = args[0]
+            fields["label"] = args[0]
         else:
             raise ConfigError(f"line {lineno}: unknown directive {key!r}")
-    config = RunConfig(
-        plates=tuple(plates),
-        gaps=gaps,
-        method=method,
-        sweep_grid=sweep_grid,
-        sweep_shared=sweep_shared,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        output=output,
-        label=label,
-    )
+    config = RunConfig(plates=tuple(plates), **fields)
     validate_config(config)
     return config
 
@@ -221,6 +201,10 @@ def validate_config(config: RunConfig) -> None:
     """Check cross-field consistency; raises `ConfigError`."""
     if len(config.plates) < 2:
         raise ConfigError("a stack needs at least two plates")
+    # one word each, so that format_config's line parses back to the same value
+    for name, word in (("label", config.label), ("output", config.output)):
+        if word is not None and (word.split() != [word] or "#" in word):
+            raise ConfigError(f"{name} must be one word without '#', got {word!r}")
     try:
         spec = config.to_spec()
     except ValueError as exc:
@@ -245,6 +229,14 @@ def validate_config(config: RunConfig) -> None:
                 f"{slots} sweep slots need 'sweep-shared' (one common conductivity)"
             )
         grid = config.sweep_grid
+        if grid.kind not in _GRID_KINDS:
+            raise ConfigError(
+                f"sweep kind must be one of {', '.join(_GRID_KINDS)}, got {grid.kind!r}"
+            )
+        if not (math.isfinite(grid.start) and math.isfinite(grid.stop)):
+            raise ConfigError("sweep start and stop must be finite")
+        if not isinstance(grid.points, int):
+            raise ConfigError(f"sweep points must be an integer, got {grid.points!r}")
         if grid.points < 1:
             raise ConfigError("sweep needs at least one point")
         if grid.points > 1 and not grid.start < grid.stop:
@@ -266,12 +258,9 @@ def _format_plate(plate: Material) -> str:
         return "plate sigma *"
     if isinstance(plate, GenericDeltaPlate):
         return f"plate generic {plate.lambda_e!r} {plate.lambda_g!r}"
-    if isinstance(plate, PerfectElectric):
-        return "plate pe"
-    if isinstance(plate, PerfectMagnetic):
-        return "plate pm"
-    if isinstance(plate, Transparent):
-        return "plate transparent"
+    for kind, cls in _PLAIN_PLATES.items():
+        if isinstance(plate, cls):
+            return f"plate {kind}"
     raise ConfigError(f"cannot format plate {plate!r}")
 
 

@@ -25,7 +25,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .optics import (
-    AngularNode,
     Material,
     PerfectElectric,
     PerfectMagnetic,
@@ -98,11 +97,10 @@ class UnitDiskRootError(PolylogPathError):
     integration domain.  Carries the offending node for diagnosis.
     """
 
-    def __init__(self, message: str, *, t: float, pol: Polarization, roots):
-        super().__init__(f"{message} at t={t!r}, {pol.value}: roots {roots!r}")
+    def __init__(self, message: str, *, t: float, pol: Polarization):
+        super().__init__(f"{message} at t={t!r}, {pol.value}")
         self.t = t
         self.pol = pol
-        self.roots = roots
 
 
 class DeltaDomainError(RuntimeError):
@@ -188,28 +186,33 @@ def _require_bound(stack: StackSpec):
         raise ValueError("stack contains an unbound sweep slot")
 
 
-def _node_coefficients(stack: StackSpec, pol: Polarization, t: float) -> NodeCoefficients:
-    node = AngularNode(t)
-    pairs = [coefficients(p, pol, node) for p in stack.plates]
-    return NodeCoefficients(tuple(c.r for c in pairs), tuple(c.t_coef for c in pairs))
+def _coefficient_tables(stack: StackSpec, t: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
+    """Per polarization, the ``(r, t_coef)`` tables of shape ``(N, k)`` at nodes ``t``.
+
+    Row ``i`` belongs to plate ``i``, column ``j`` to node ``t[j]``; each
+    table comes from one `coefficients` call per plate.
+    """
+    tables = []
+    for pol in Polarization:
+        pairs = [coefficients(p, pol, t) for p in stack.plates]
+        r, t_coef = zip(*pairs)
+        tables.append((np.array(r), np.array(t_coef)))
+    return tables
 
 
-def _opaque_segments(coeffs: NodeCoefficients) -> List[Tuple[Tuple[float, ...], Tuple[float, ...]]]:
+def _opaque_segments(r: Sequence[float], t_coef: Sequence[float]) -> List[Tuple[Sequence, ...]]:
     """Split the plate list at perfectly opaque plates.
 
     A plate with exactly zero transmission kills every loop through it, so
     Delta factorizes into the product over the resulting sub-stacks; the
     opaque plate terminates both neighbouring segments.  Returns the (r, t)
-    tuples of every segment with at least two plates.
+    slices of every segment; each has at least two plates.
     """
-    n = coeffs.n_plates
-    cuts = [i for i in range(n) if coeffs.t_coef[i] == 0.0]
-    bounds = sorted({0, n - 1, *cuts})
-    segments = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo >= 1:
-            segments.append((coeffs.r[lo : hi + 1], coeffs.t_coef[lo : hi + 1]))
-    return segments
+    n = len(r)
+    bounds = sorted({0, n - 1, *(i for i in range(n) if t_coef[i] == 0.0)})
+    return [
+        (r[lo : hi + 1], t_coef[lo : hi + 1]) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def _inverse_roots(poly: Sequence[float]) -> Tuple[np.ndarray, float]:
@@ -288,13 +291,17 @@ def _li4_root_sum(w: np.ndarray) -> complex:
     return total
 
 
-def _polylog_node(stack: StackSpec, t: float) -> Tuple[float, float]:
-    """Node value ``sum_pol sum_j Li4(w_j)`` and its uncertainty."""
+def _polylog_node(tables, j: int, t: float) -> Tuple[float, float]:
+    """Node value ``sum_pol sum_i Li4(w_i)`` and its uncertainty at column ``j``.
+
+    ``tables`` are the `_coefficient_tables` of a panel and ``t`` is its
+    ``j``-th node.  The column goes on as Python floats: `delta_polynomial`
+    squares with ``**``, which rounds differently on a numpy scalar.
+    """
     value = 0.0 + 0.0j
     floor = 0.0
-    for pol in Polarization:
-        coeffs = _node_coefficients(stack, pol, t)
-        for r_seg, t_seg in _opaque_segments(coeffs):
+    for pol, (r, t_coef) in zip(Polarization, tables):
+        for r_seg, t_seg in _opaque_segments(r[:, j].tolist(), t_coef[:, j].tolist()):
             if len(r_seg) > _MAX_POLYLOG_PLATES:
                 raise PolylogPathError(
                     f"a segment of {len(r_seg)} plates at t={t!r} exceeds the "
@@ -308,7 +315,7 @@ def _polylog_node(stack: StackSpec, t: float) -> Tuple[float, float]:
             try:
                 roots, err = _inverse_roots(poly)
             except ValueError as exc:
-                raise UnitDiskRootError(str(exc), t=t, pol=pol, roots=None) from exc
+                raise UnitDiskRootError(str(exc), t=t, pol=pol) from exc
             value += _li4_root_sum(roots)
             floor += err
     if abs(value.imag) >= 1e-10:
@@ -334,9 +341,12 @@ def energy_ratio_polylog(
     if not stack.uniform:
         raise ValueError("the polylog route requires uniform gaps")
     g = stack.gaps[0]
-    value, bound = _integrate_floor(
-        lambda x: np.array([_polylog_node(stack, t) for t in x]).T, 0.0, 1.0, spec
-    )
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        tables = _coefficient_tables(stack, x)
+        return np.array([_polylog_node(tables, j, t) for j, t in enumerate(x.tolist())]).T
+
+    value, bound = _integrate_floor(integrand, 0.0, 1.0, spec)
     scale = _PREFACTOR_POLYLOG / g**3
     ratio = scale * value
     return EnergyResult(ratio, ratio / stack.n_plates, "polylog", abs(scale) * bound)
@@ -359,12 +369,7 @@ def energy_ratio_quadrature(
     geometry = StackGeometry(tuple(g / g_min for g in stack.gaps))
 
     def log_delta(t: np.ndarray):
-        # per polarization, r and t_coef of the outer panel's nodes, shape (N, 46)
-        tables = []
-        for pol in Polarization:
-            nodes = [_node_coefficients(stack, pol, ti) for ti in t]
-            r = np.array([c.r for c in nodes]).T
-            tables.append((r, np.array([c.t_coef for c in nodes]).T))
+        tables = _coefficient_tables(stack, t)  # (N, 46) per polarization
 
         def block(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
             total = 0.0

@@ -6,10 +6,14 @@ is characterized either by a dimensionless constant conductivity ``sigma``
 ``lambda_e``/``lambda_g`` (electric / magnetic response), or by an exact
 ideal limit (perfect electric or perfect magnetic conductor).
 
-Coefficients are evaluated on the Euclidean frequency axis at a fixed
-angular node ``t = zeta/kappa`` in [0, 1], the cosine of the polar angle in
-the (frequency, transverse-momentum) plane.  All quantities are in
-Heaviside-Lorentz natural units and dimensionless.
+The amplitudes are evaluated on the Euclidean frequency axis at angular
+nodes ``t = zeta/kappa`` in [0, 1], the cosine of the polar angle in the
+(frequency, transverse-momentum) plane.  `coefficients` takes one node or
+an array of them and returns arrays shaped like ``t``; both evaluation
+routes call it once per plate and polarization with all nodes of an
+integration panel, so the material dispatch runs once per panel rather
+than once per node.  All quantities are in Heaviside-Lorentz natural units
+and dimensionless.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "ALPHA_FS",
     "SIGMA_GRAPHENE",
     "Polarization",
-    "AngularNode",
-    "Coefficients",
     "ConstantConductivity",
     "GenericDeltaPlate",
     "PerfectElectric",
@@ -47,24 +51,6 @@ class Polarization(Enum):
 
     TM = "TM"
     TE = "TE"
-
-
-@dataclass(frozen=True)
-class AngularNode:
-    """Cosine of the polar angle, t = zeta/kappa, in [0, 1]."""
-
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"angular node t must lie in [0, 1], got {self.t}")
-
-
-class Coefficients(NamedTuple):
-    """Reflection and transmission amplitudes of one plate at one node."""
-
-    r: float
-    t_coef: float
 
 
 @dataclass(frozen=True)
@@ -166,29 +152,34 @@ _IDEAL_R = {
 }
 
 
-def coefficients(m: Material, pol: Polarization, node: AngularNode) -> Coefficients:
-    """Reflection and transmission amplitudes of plate ``m`` at one node.
+def coefficients(m: Material, pol: Polarization, t) -> Tuple[np.ndarray, np.ndarray]:
+    """Reflection and transmission amplitudes of plate ``m`` at angular nodes.
 
     Parameters
     ----------
     m : Material
     pol : Polarization
-    node : AngularNode
+    t : float or array_like
+        Angular nodes ``t = zeta/kappa``, each in [0, 1].
 
     Returns
     -------
-    Coefficients
-        The pair ``(r, t_coef)``, each dimensionless and in [-1, 1].
+    (r, t_coef) : pair of ndarray
+        Shaped like ``t``, each amplitude dimensionless and in [-1, 1].
     """
-    t = node.t
+    t = np.asarray(t, float)
+    inside = (0.0 <= t) & (t <= 1.0)  # false for NaN
+    if not np.all(inside):
+        bad = float(t[~inside].flat[0])
+        raise ValueError(f"angular node t must lie in [0, 1], got {bad!r}")
     if isinstance(m, ConstantConductivity):
         sigma = m.sigma
         if pol is Polarization.TE:
             r = -sigma * t / (sigma * t + 2.0)
-            return Coefficients(r, 1.0 + r)
+            return r, 1.0 + r
         # the t = 0 limit of the TM reflection is 1 for any positive sigma
-        r = sigma / (sigma + 2.0 * t) if sigma != 0.0 else 0.0
-        return Coefficients(r, 1.0 - r)
+        r = sigma / (sigma + 2.0 * t) if sigma != 0.0 else np.zeros(t.shape)
+        return r, 1.0 - r
     if isinstance(m, GenericDeltaPlate):
         lam_e, lam_g = m.lambda_e, m.lambda_g
         if pol is Polarization.TE:
@@ -196,11 +187,11 @@ def coefficients(m: Material, pol: Polarization, node: AngularNode) -> Coefficie
         # the infinite electric limit belongs to the ideal material classes
         e_term = lam_e / (lam_e + 2.0)
         g_term = lam_g * t * t / (lam_g * t * t + 2.0)
-        return Coefficients(e_term - g_term, 1.0 - e_term - g_term)
+        return e_term - g_term, 1.0 - e_term - g_term
     if isinstance(m, (PerfectElectric, PerfectMagnetic)):
-        return Coefficients(_IDEAL_R[(type(m), pol)], 0.0)
+        return np.full(t.shape, _IDEAL_R[(type(m), pol)]), np.zeros(t.shape)
     if isinstance(m, Transparent):
-        return Coefficients(0.0, 1.0)
+        return np.zeros(t.shape), np.ones(t.shape)
     if isinstance(m, SweepSlot):
         raise TypeError("sweep slot is not bound to a conductivity value")
     raise TypeError(f"unsupported material: {m!r}")

@@ -8,7 +8,8 @@ need the library's default nine-digit certification.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
 from .config import RunConfig, SweepGrid
 from .optics import (
@@ -25,82 +26,80 @@ _GRAPHENE = ConstantConductivity(SIGMA_GRAPHENE)
 _PE = PerfectElectric()
 _PM = PerfectMagnetic()
 
-# Shared grid for the per-plate curves: wide enough to show both the weak
-# (linear in sigma) and the strong (ideal-asymptote) ends.
-_CURVE_GRID = SweepGrid("log", 0.005, 1000.0, 25)
-_CURVE_TOL = {"rel_tol": 1e-5, "abs_tol": 1e-7}
-
-
-def _uniform(plates, label, **kw) -> RunConfig:
-    return RunConfig(plates=tuple(plates), label=label, **kw)
-
-
-def _graphene_stack(n: int) -> List[RunConfig]:
-    return [_uniform((_GRAPHENE,) * n, f"graphene-stack-{n}")]
-
-
-def _fig2() -> List[RunConfig]:
-    return [
-        _uniform(
-            (SweepSlot(),) * n,
-            f"sweep-N{n}",
-            sweep_grid=_CURVE_GRID,
-            sweep_shared=True,
-            **_CURVE_TOL,
-        )
-        for n in range(2, 7)
-    ]
+# Per-plate curves share one conductivity grid, wide enough to show both
+# the weak (linear in sigma) and the strong (ideal-asymptote) ends, and
+# one shared slot value per point.
+_CURVE = {
+    "sweep_grid": SweepGrid("log", 0.005, 1000.0, 25),
+    "sweep_shared": True,
+    "rel_tol": 1e-5,
+    "abs_tol": 1e-7,
+}
 
 
 def _magnetic_mix(n: int, pm_index: int, label: str) -> List[RunConfig]:
     plates = [SweepSlot()] * n
     plates[pm_index] = _PM
-    return [
-        _uniform(
-            tuple(plates),
-            label,
-            sweep_grid=_CURVE_GRID,
-            sweep_shared=True,
-            **_CURVE_TOL,
+    return [RunConfig(tuple(plates), label=label, **_CURVE)]
+
+
+# name -> (description, builder), in listing order
+_PRESETS: Dict[str, Tuple[str, Callable[[], List[RunConfig]]]] = {
+    "graphene-pair": (
+        "two constant-conductivity plates at the graphene value",
+        lambda: [RunConfig((_GRAPHENE, _GRAPHENE), label="graphene-pair")],
+    ),
+    **{
+        f"graphene-stack-{n}": (
+            f"uniform graphene stack, N={n}",
+            lambda n=n: [RunConfig((_GRAPHENE,) * n, label=f"graphene-stack-{n}")],
         )
-    ]
-
-
-def _ideal_asymptotes() -> List[RunConfig]:
-    return [
-        _uniform((_PE,) * n, f"ideal-N{n}", method="ideal") for n in range(2, 11)
-    ]
-
-
-_BUILDERS = {
-    "graphene-pair": lambda: [_uniform((_GRAPHENE, _GRAPHENE), "graphene-pair")],
-    "graphene-stack-2": lambda: _graphene_stack(2),
-    "graphene-stack-3": lambda: _graphene_stack(3),
-    "graphene-stack-4": lambda: _graphene_stack(4),
-    "graphene-stack-5": lambda: _graphene_stack(5),
-    "graphene-stack-6": lambda: _graphene_stack(6),
-    "boyer-pair": lambda: [_uniform((_PE, _PM), "boyer-pair")],
-    "pe-graphene": lambda: [_uniform((_PE, _GRAPHENE), "pe-graphene")],
-    "pm-graphene": lambda: [_uniform((_PM, _GRAPHENE), "pm-graphene")],
-    "fig2": _fig2,
-    "fig3-edge": lambda: _magnetic_mix(3, 0, "fig3-edge"),
-    "fig3-middle": lambda: _magnetic_mix(3, 1, "fig3-middle"),
-    "fig4-edge": lambda: _magnetic_mix(4, 0, "fig4-edge"),
-    "fig4-middle": lambda: _magnetic_mix(4, 1, "fig4-middle"),
-    "fig5-edge": lambda: _magnetic_mix(5, 0, "fig5-edge"),
-    "fig5-middle": lambda: _magnetic_mix(5, 1, "fig5-middle"),
-    "fig6-edge": lambda: _magnetic_mix(6, 0, "fig6-edge"),
-    "fig6-middle": lambda: _magnetic_mix(6, 1, "fig6-middle"),
-    "ideal-asymptotes": _ideal_asymptotes,
+        for n in range(2, 7)
+    },
+    "boyer-pair": (
+        "perfect electric vs perfect magnetic conductor",
+        lambda: [RunConfig((_PE, _PM), label="boyer-pair")],
+    ),
+    "pe-graphene": (
+        "perfect electric conductor plus graphene plate",
+        lambda: [RunConfig((_PE, _GRAPHENE), label="pe-graphene")],
+    ),
+    "pm-graphene": (
+        "perfect magnetic conductor plus graphene plate",
+        lambda: [RunConfig((_PM, _GRAPHENE), label="pm-graphene")],
+    ),
+    "fig2": (
+        "per-plate ratio vs sigma for uniform stacks, N=2..6",
+        lambda: [
+            RunConfig((SweepSlot(),) * n, label=f"sweep-N{n}", **_CURVE) for n in range(2, 7)
+        ],
+    ),
+    **{
+        f"fig{n}-{where}": (
+            f"N={n}, magnetic conductor {place}, sigma sweep",
+            partial(_magnetic_mix, n, i, f"fig{n}-{where}"),
+        )
+        for n in range(3, 7)
+        for where, i, place in (
+            ("edge", 0, "at the edge"),
+            ("middle", 1, "in the middle" if n == 3 else "second from the edge"),
+        )
+    },
+    "ideal-asymptotes": (
+        "exact per-plate ratios for perfect-conductor stacks",
+        lambda: [
+            RunConfig((_PE,) * n, method="ideal", label=f"ideal-N{n}") for n in range(2, 11)
+        ],
+    ),
 }
 
-PRESET_NAMES = tuple(_BUILDERS)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_configs(name: str) -> List[RunConfig]:
     """Configs for a preset name; raises `KeyError` for unknown names."""
     try:
-        builder = _BUILDERS[name]
+        _, builder = _PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
@@ -110,26 +109,5 @@ def preset_configs(name: str) -> List[RunConfig]:
 
 def list_presets() -> str:
     """Human-readable listing, one preset per line."""
-    descriptions = {
-        "graphene-pair": "two constant-conductivity plates at the graphene value",
-        "graphene-stack-2": "uniform graphene stack, N=2",
-        "graphene-stack-3": "uniform graphene stack, N=3",
-        "graphene-stack-4": "uniform graphene stack, N=4",
-        "graphene-stack-5": "uniform graphene stack, N=5",
-        "graphene-stack-6": "uniform graphene stack, N=6",
-        "boyer-pair": "perfect electric vs perfect magnetic conductor",
-        "pe-graphene": "perfect electric conductor plus graphene plate",
-        "pm-graphene": "perfect magnetic conductor plus graphene plate",
-        "fig2": "per-plate ratio vs sigma for uniform stacks, N=2..6",
-        "fig3-edge": "N=3, magnetic conductor at the edge, sigma sweep",
-        "fig3-middle": "N=3, magnetic conductor in the middle, sigma sweep",
-        "fig4-edge": "N=4, magnetic conductor at the edge, sigma sweep",
-        "fig4-middle": "N=4, magnetic conductor second from the edge, sigma sweep",
-        "fig5-edge": "N=5, magnetic conductor at the edge, sigma sweep",
-        "fig5-middle": "N=5, magnetic conductor second from the edge, sigma sweep",
-        "fig6-edge": "N=6, magnetic conductor at the edge, sigma sweep",
-        "fig6-middle": "N=6, magnetic conductor second from the edge, sigma sweep",
-        "ideal-asymptotes": "exact per-plate ratios for perfect-conductor stacks",
-    }
     width = max(len(n) for n in PRESET_NAMES)
-    return "\n".join(f"{n:<{width}}  {descriptions[n]}" for n in PRESET_NAMES)
+    return "\n".join(f"{n:<{width}}  {_PRESETS[n][0]}" for n in PRESET_NAMES)

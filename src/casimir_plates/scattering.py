@@ -197,7 +197,7 @@ def delta_compositions(
 
 
 def delta_polynomial(coeffs: NodeCoefficients) -> Tuple[float, ...]:
-    """Coefficients ``c_0 ... c_{N-1}`` of Delta in ``x = exp(-s)``, unit gaps.
+    """The coefficients ``c_0 ... c_{N-1}`` of Delta in ``x = exp(-s)``, unit gaps.
 
     Each composition term is a product of linear factors ``1 - r r' x``
     (parts of size one) and monomials ``-r r' (prod t^2) x^c`` (larger

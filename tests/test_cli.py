@@ -103,6 +103,27 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="finite"):
             validate_config(config)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            SweepGrid("cubic", 0.1, 1.0, 3),  # would sweep linearly
+            SweepGrid("log", 0.1, math.inf, 3),
+            SweepGrid("log", 0.1, 1.0, 2.5),
+        ],
+    )
+    def test_rejects_grid_that_does_not_round_trip(self, grid):
+        # each formats to a sweep line that parse_config rejects
+        config = RunConfig(plates=(SweepSlot(), PerfectMagnetic()), sweep_grid=grid)
+        with pytest.raises(ConfigError, match="sweep"):
+            validate_config(config)
+
+    @pytest.mark.parametrize("field", ["label", "output"])
+    @pytest.mark.parametrize("word", ["my#run", "my run", "", " run", "run\n"])
+    def test_rejects_words_that_do_not_round_trip(self, field, word):
+        config = RunConfig(plates=(PerfectElectric(), PerfectMagnetic()), **{field: word})
+        with pytest.raises(ConfigError, match=field):
+            validate_config(config)
+
     def test_error_carries_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("plate pe\nplate sigma\n")

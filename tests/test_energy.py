@@ -36,7 +36,6 @@ from casimir_plates.optics import (
     Polarization,
     SweepSlot,
     Transparent,
-    AngularNode,
     coefficients,
 )
 from casimir_plates.special import QuadratureSpec, _integrate_floor, li4
@@ -108,7 +107,7 @@ class TestClosedFormStructure:
         def node(t):
             total = 0.0
             for pol in Polarization:
-                r = coefficients(plate, pol, AngularNode(t)).r
+                r = coefficients(plate, pol, t)[0]
                 total += li4(r * r)
             return total
 
@@ -123,7 +122,7 @@ class TestClosedFormStructure:
         def node(t):
             total = 0.0 + 0.0j
             for pol in Polarization:
-                r, t_coef = coefficients(plate, pol, AngularNode(t))
+                r, t_coef = coefficients(plate, pol, t)
                 a = -2.0 * r * r
                 b = r**4 - r**2 * t_coef**2
                 root = cmath.sqrt(a * a - 4.0 * b)
@@ -413,6 +412,32 @@ class TestRootDiagnostics:
         assert issubclass(UnitDiskRootError, PolylogPathError)
         assert issubclass(PolylogPathError, RuntimeError)
 
+    def test_unit_disk_error_names_node_and_polarization(self, monkeypatch):
+        import casimir_plates.energy as energy_mod
+
+        real_tables = energy_mod._coefficient_tables
+        seen_t = []
+
+        def coefficient_tables(stack, t):
+            seen_t.append(t)
+            return real_tables(stack, t)
+
+        def escaping_roots(poly):
+            raise ValueError("inverse root at |w| = 1.5 exceeds its error bar 0.0")
+
+        monkeypatch.setattr(energy_mod, "_coefficient_tables", coefficient_tables)
+        monkeypatch.setattr(energy_mod, "_inverse_roots", escaping_roots)
+        with pytest.raises(UnitDiskRootError) as err:
+            energy_ratio_polylog(uniform_stack([GRAPHENE] * 3))
+        # the first node of the first panel, TM before TE
+        first = float(seen_t[0][0])
+        assert type(err.value.t) is float and err.value.t == first
+        assert err.value.pol is Polarization.TM
+        assert str(err.value) == (
+            f"inverse root at |w| = 1.5 exceeds its error bar 0.0 at t={first!r}, TM"
+        )
+        assert not hasattr(err.value, "roots")
+
     def test_non_uniform_auto_uses_quadrature(self):
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)
         result = energy_ratio(StackSpec((GRAPHENE, PE, GRAPHENE), (0.5, 1.5)), spec)
@@ -449,12 +474,12 @@ class TestQuadratureRoute:
         import casimir_plates.energy as energy_mod
 
         real_delta = energy_mod.delta_total
-        real_coefficients = energy_mod._node_coefficients
+        real_tables = energy_mod._coefficient_tables
         seen_t, bad_s, rows_seen = [], [], []
 
-        def node_coefficients(stack, pol, t):
+        def coefficient_tables(stack, t):
             seen_t.append(t)
-            return real_coefficients(stack, pol, t)
+            return real_tables(stack, t)
 
         def poisoned_delta(coeffs, geometry, s):
             d = np.array(real_delta(coeffs, geometry, s))
@@ -465,7 +490,7 @@ class TestQuadratureRoute:
             rows_seen.append(s.shape[0])
             return d
 
-        monkeypatch.setattr(energy_mod, "_node_coefficients", node_coefficients)
+        monkeypatch.setattr(energy_mod, "_coefficient_tables", coefficient_tables)
         monkeypatch.setattr(energy_mod, "delta_total", poisoned_delta)
         stack = StackSpec((GRAPHENE, GRAPHENE, GRAPHENE), (1.0, 2.0))
         with pytest.raises(DeltaDomainError) as err:
@@ -474,7 +499,7 @@ class TestQuadratureRoute:
         # the first call holds the first panel of all 46 nodes, row i at node i
         assert rows_seen == [46]
         assert "Delta = -0.25" in message
-        assert f"t={float(seen_t[1])!r}" in message
+        assert f"t={float(seen_t[0][1])!r}" in message
         assert f"s={float(bad_s[-1])!r}" in message
 
     # the stacks of the benchmark's unequal-gap workload
@@ -505,8 +530,11 @@ class TestQuadratureRoute:
     def test_lockstep_equals_per_node_integrals(self, plates, gaps):
         # the route one node at a time: each inner integral on its own, with
         # Delta on the 1-D array of one panel's frequencies
-        from casimir_plates.energy import _node_coefficients
-        from casimir_plates.scattering import StackGeometry, delta_total
+        from casimir_plates.scattering import (
+            NodeCoefficients,
+            StackGeometry,
+            delta_total,
+        )
         from casimir_plates.special import _integrate_floor
 
         stack = StackSpec(plates, gaps)
@@ -516,7 +544,10 @@ class TestQuadratureRoute:
         geometry = StackGeometry(tuple(g / g_min for g in gaps))
 
         def node(t):
-            pair = [_node_coefficients(stack, pol, t) for pol in Polarization]
+            pair = []
+            for pol in Polarization:
+                r, t_coef = zip(*(coefficients(p, pol, t) for p in plates))
+                pair.append(NodeCoefficients(r, t_coef))
 
             def h(u):
                 lg = np.log(u)

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 import casimir_plates
 from casimir_plates import scattering
 from casimir_plates.optics import (
-    AngularNode,
     ConstantConductivity,
     PerfectMagnetic,
     Polarization,
@@ -204,15 +203,12 @@ class TestOracleEquivalence:
     def test_transparent_interior_beyond_composition_cap(self):
         # 70 plates, more than compositions() admits: only the outer pair
         # scatters, across the sum of all 69 gaps
-        node = AngularNode(0.35)
         pol = Polarization.TM
         plates = (
             (ConstantConductivity(1.7),) + (Transparent(),) * 68 + (PerfectMagnetic(),)
         )
-        pairs = [coefficients(p, pol, node) for p in plates]
-        coeffs = NodeCoefficients(
-            tuple(c.r for c in pairs), tuple(c.t_coef for c in pairs)
-        )
+        r, t_coef = zip(*(coefficients(p, pol, 0.35) for p in plates))
+        coeffs = NodeCoefficients(r, t_coef)
         rng = np.random.default_rng(RNG_SEED + 9)
         geo = StackGeometry(tuple(float(g) for g in rng.uniform(0.2, 3.0, size=69)))
         s = 0.004
