@@ -80,8 +80,8 @@ _DISK_TOL = 1e-9
 # beyond that the quadrature route takes over.
 _POLYLOG_TRUST = 1e-6
 
-# The Delta polynomial is expanded over the 2**(n - 2) compositions of an
-# n-plate segment; longer segments are left to the quadrature route.
+# The root error bar is not certified for long segments (graphene N=16, 17
+# and 20 raise `UnitDiskRootError`); longer ones go to the quadrature route.
 _MAX_POLYLOG_PLATES = 16
 
 
@@ -163,7 +163,7 @@ class EnergyResult:
 
     ``ratio`` is relative to the perfect-conductor pair at the reference
     gap (positive means attractive); ``per_plate`` is ``ratio / N``;
-    ``err_estimate`` bounds the numerical error of ``ratio``.
+    ``err_estimate`` estimates the numerical error of ``ratio``.
     """
 
     ratio: float
@@ -263,7 +263,7 @@ def _inverse_roots(poly: Sequence[float]) -> Tuple[np.ndarray, float]:
         if np.any(excess > bar):
             j = int(np.argmax(excess - bar))
             raise ValueError(
-                f"inverse root at |w| = {aw[j]!r} exceeds its error bar {bar[j]!r}"
+                f"inverse root at |w| = {float(aw[j])!r} exceeds its error bar {float(bar[j])!r}"
             )
         err = _ZETA3 * float(np.sum(bar))  # |Li4'| <= zeta(3) on the closed disk
         w = np.where(aw > 1.0, w / aw, w)
@@ -305,7 +305,7 @@ def _polylog_node(tables, j: int, t: float) -> Tuple[float, float]:
             if len(r_seg) > _MAX_POLYLOG_PLATES:
                 raise PolylogPathError(
                     f"a segment of {len(r_seg)} plates at t={t!r} exceeds the "
-                    f"{_MAX_POLYLOG_PLATES} plates the Delta polynomial is expanded for"
+                    f"{_MAX_POLYLOG_PLATES} plates the root error bar is trusted for"
                 )
             if len(r_seg) == 2:
                 # pair: Delta = 1 - r r' x has the single inverse root r r'
@@ -481,6 +481,9 @@ def sweep(
     grid = [float(s) for s in sigma_grid]
     if not grid:
         raise ValueError("sigma grid is empty")
+    for sigma in grid:
+        if not math.isfinite(sigma):
+            raise ValueError(f"conductivities must be finite, got {sigma!r}")
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("sigma grid must be strictly increasing")
     if grid[0] < 0.0:

@@ -12,10 +12,10 @@ The paper organizes Delta as a sum over compositions (ordered integer
 partitions) of ``N - 1``: a part of size 1 contributes a nearest-neighbour
 factor ``1 - r r' y`` and a part of size ``c >= 2`` a beyond-nearest loop
 passing through the intermediate plates twice.  `delta_compositions` sums
-those ``2**(N-2)`` products literally; it is the independent oracle the
-test-suite checks `delta_total` against, and `delta_polynomial` expands the
-same sum into the polynomial form of Delta in ``x = exp(-s)`` for stacks
-with unit gaps.
+those ``2**(N-2)`` products literally, the only code that walks them: it is
+the independent oracle the tests check the other two against.
+`delta_polynomial` groups the same sum by its last part, an ``O(N^2)``
+recursion for the polynomial form of Delta in ``x = exp(-s)`` at unit gaps.
 
 Everything is evaluated in the scaled variable ``s = 2 kappa a_ref`` so a
 gap of dimensionless length ``g`` carries a round-trip factor
@@ -199,30 +199,24 @@ def delta_compositions(
 def delta_polynomial(coeffs: NodeCoefficients) -> Tuple[float, ...]:
     """The coefficients ``c_0 ... c_{N-1}`` of Delta in ``x = exp(-s)``, unit gaps.
 
-    Each composition term is a product of linear factors ``1 - r r' x``
-    (parts of size one) and monomials ``-r r' (prod t^2) x^c`` (larger
-    parts); the expansion is assembled by polynomial convolution.  Only
-    unit gaps give every gap the same propagation variable ``x``.
-    ``c_0 = 1``; trailing coefficients may be exactly zero (opaque interior
-    plates) and are kept.
+    The paper's composition sum grouped by its last part ``c``: with
+    ``d_0 = 1``, ``d_j = d_{j-1} + sum_{c=1..j} b_{j,c} x^c d_{j-c}`` where
+    ``b_{j,c} = -r_{j-c} r_j prod_{m=j-c+1}^{j-1} t_m^2``, so ``c = 1`` gives
+    the nearest-neighbour factor ``1 - r_{j-1} r_j x`` and ``c >= 2`` the
+    loop through the intermediate plates.  Delta is ``d_{N-1}``: ``O(N^2)``
+    part factors in place of ``2**(N-2)`` products.  Only unit gaps give
+    every gap the same variable ``x``.  ``c_0 = 1``; trailing coefficients
+    may be exactly zero (opaque interior plates) and are kept.
     """
-    n = coeffs.n_plates
     r, t = coeffs.r, coeffs.t_coef
-    total = np.zeros(n)
-    for comp in compositions(n - 1):
-        prod = np.array([1.0])
-        p = 0
-        for c in comp:
-            q = p + c
-            if c == 1:
-                factor = np.array([1.0, -r[p] * r[q]])
-            else:
-                trans = 1.0
-                for m in range(p + 1, q):
-                    trans *= t[m] ** 2
-                factor = np.zeros(c + 1)
-                factor[c] = -r[p] * r[q] * trans
-            prod = np.convolve(prod, factor)
-            p = q
-        total[: prod.size] += prod
-    return tuple(float(c) for c in total)
+    d = [[1.0]]
+    for j in range(1, coeffs.n_plates):
+        dj = d[j - 1] + [0.0]
+        trans = 1.0
+        for c in range(1, j + 1):
+            part = -r[j - c] * r[j] * trans
+            for k, v in enumerate(d[j - c]):
+                dj[k + c] += part * v
+            trans *= t[j - c] ** 2
+        d.append(dj)
+    return tuple(d[-1])

@@ -321,6 +321,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(one_slot, [-1.0, 2.0])
 
+    @pytest.mark.parametrize("grid", [[0.1, math.nan], [math.nan], [math.inf]])
+    def test_non_finite_conductivity_rejected_before_any_solve(self, monkeypatch, grid):
+        import casimir_plates.energy as energy_mod
+
+        calls = []
+        monkeypatch.setattr(energy_mod, "energy_ratio", lambda *args: calls.append(args))
+        template = uniform_stack([SweepSlot(), GRAPHENE])
+        with pytest.raises(ValueError, match=repr(grid[-1])):
+            energy_mod.sweep(template, grid)
+        assert calls == []
+
     def test_failure_identifies_sigma(self, monkeypatch):
         import casimir_plates.energy as energy_mod
 
@@ -408,6 +419,13 @@ class TestRootDiagnostics:
         assert err == 0.0
         assert roots[0] == pytest.approx(0.25)
 
+    def test_error_bar_message_prints_plain_floats(self):
+        with pytest.raises(ValueError) as err:
+            _inverse_roots((1.0, -1.5))
+        message = str(err.value)
+        assert message.startswith("inverse root at |w| = 1.5 exceeds its error bar ")
+        assert "np.float64" not in message
+
     def test_exception_hierarchy(self):
         assert issubclass(UnitDiskRootError, PolylogPathError)
         assert issubclass(PolylogPathError, RuntimeError)
@@ -460,6 +478,21 @@ class TestLongUniformStacks:
         monkeypatch.setattr(scattering_mod, "compositions", compositions)
         with pytest.raises(PolylogPathError):
             energy_ratio(uniform_stack((GRAPHENE,) * 20), method="polylog")
+
+    @pytest.mark.parametrize(
+        "plates", [(GRAPHENE,) * 5, (PM,) + (ConstantConductivity(1.0),) * 3]
+    )
+    def test_polylog_builds_polynomial_without_compositions(self, monkeypatch, plates):
+        import casimir_plates.scattering as scattering_mod
+
+        def compositions(n):
+            raise AssertionError(f"compositions({n}) was called")
+
+        monkeypatch.setattr(scattering_mod, "compositions", compositions)
+        result = energy_ratio_polylog(uniform_stack(plates), QuadratureSpec(1e-5, 1e-7))
+        assert result.method == "polylog"
+        if plates[-1] is GRAPHENE:
+            assert result.ratio == pytest.approx(GRAPHENE_RATIOS[5], abs=1e-6)
 
 
 class TestQuadratureRoute:

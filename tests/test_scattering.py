@@ -358,20 +358,61 @@ class TestDeltaPolynomial:
             [1.0, -2 * r**2, r**4 - r**2 * t**2], rel=1e-14
         )
 
-    def test_matches_total_and_oracle(self):
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matches_total_and_oracle(self, n):
+        # the composition oracle up to N=10, the transfer matrix beyond; the
+        # oracle costs 2**(N-2) terms a call, so stacks above N=6 get 10 instances
+        deltas = (delta_total, delta_compositions) if n <= 10 else (delta_total,)
         rng = np.random.default_rng(RNG_SEED + 8)
-        for _ in range(50):
-            coeffs, _, _ = random_instance(rng, n=6)
-            geo = StackGeometry((1.0,) * 5)
+        for _ in range(50 if n <= 6 else 10):
+            coeffs, _, _ = random_instance(rng, n=n)
+            geo = StackGeometry((1.0,) * (n - 1))
             poly = delta_polynomial(coeffs)
             assert poly[0] == 1.0
-            assert len(poly) == 6
+            assert len(poly) == n
             for x in rng.uniform(0.0, 0.95, size=20):
                 s = -math.log(x) if x > 0 else 60.0
                 value = np.polyval(poly[::-1], x)
-                for delta in (delta_total, delta_compositions):
+                for delta in deltas:
                     direct = delta(coeffs, geo, s)
                     assert value == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    @staticmethod
+    def composition_expansion(coeffs):
+        """The composition sum multiplied out term by term with `np.convolve`."""
+        n, r, t = coeffs.n_plates, coeffs.r, coeffs.t_coef
+        total = np.zeros(n)
+        for comp in compositions(n - 1):
+            prod = np.array([1.0])
+            p = 0
+            for c in comp:
+                q = p + c
+                if c == 1:
+                    factor = np.array([1.0, -r[p] * r[q]])
+                else:
+                    trans = 1.0
+                    for m in range(p + 1, q):
+                        trans *= t[m] ** 2
+                    factor = np.zeros(c + 1)
+                    factor[c] = -r[p] * r[q] * trans
+                prod = np.convolve(prod, factor)
+                p = q
+            total[: prod.size] += prod
+        return [float(c).hex() for c in total]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_short_stacks_bit_identical_to_composition_expansion(self, n):
+        # short stacks keep the CLI figures byte for byte: same roundings,
+        # signed zeros included
+        rng = np.random.default_rng(RNG_SEED + 9)
+        for _ in range(500):
+            coeffs, _, _ = random_instance(rng, n=n)
+            special = (0.0, -0.0, 1.0, -1.0)
+            r = [v if rng.random() > 0.4 else special[rng.integers(4)] for v in coeffs.r]
+            t = [v if rng.random() > 0.1 else 0.0 for v in coeffs.t_coef]
+            coeffs = NodeCoefficients(r, t)
+            poly = [c.hex() for c in delta_polynomial(coeffs)]
+            assert poly == self.composition_expansion(coeffs)
 
 
 class TestValidation:
