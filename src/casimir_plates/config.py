@@ -199,8 +199,6 @@ def parse_config(text: str) -> RunConfig:
 
 def validate_config(config: RunConfig) -> None:
     """Check cross-field consistency; raises `ConfigError`."""
-    if len(config.plates) < 2:
-        raise ConfigError("a stack needs at least two plates")
     # one word each, so that format_config's line parses back to the same value
     for name, word in (("label", config.label), ("output", config.output)):
         if word is not None and (word.split() != [word] or "#" in word):
@@ -214,7 +212,7 @@ def validate_config(config: RunConfig) -> None:
     if config.method == "ideal":
         if not spec.all_ideal:
             raise ConfigError("method 'ideal' requires perfect-conductor plates only")
-        if any(g != 1.0 for g in spec.gaps):
+        if not spec.unit_gaps:
             raise ConfigError("method 'ideal' requires unit gaps")
     if config.method == "polylog" and not spec.uniform:
         raise ConfigError("method 'polylog' requires uniform gaps")

@@ -25,6 +25,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .optics import (
+    ConstantConductivity,
     Material,
     PerfectElectric,
     PerfectMagnetic,
@@ -74,11 +75,6 @@ _EPS = float(np.finfo(float).eps)
 # Inverse roots may stick out of the unit disk by this much before any
 # conditioning analysis is consulted.
 _DISK_TOL = 1e-9
-
-# Auto dispatch trusts a polylog result whose certified error is below the
-# requested tolerance or this absolute ratio error, whichever is larger;
-# beyond that the quadrature route takes over.
-_POLYLOG_TRUST = 1e-6
 
 # The root error bar is not certified for long segments (graphene N=16, 17
 # and 20 raise `UnitDiskRootError`); longer ones go to the quadrature route.
@@ -147,6 +143,11 @@ class StackSpec:
     def uniform(self) -> bool:
         """All gaps equal (not necessarily to 1)."""
         return all(g == self.gaps[0] for g in self.gaps)
+
+    @property
+    def unit_gaps(self) -> bool:
+        """Every gap equal to the reference gap, 1."""
+        return all(g == 1.0 for g in self.gaps)
 
     @property
     def all_ideal(self) -> bool:
@@ -219,8 +220,11 @@ def _inverse_roots(poly: Sequence[float]) -> Tuple[np.ndarray, float]:
     """Inverse roots ``w = 1/x`` of a scattering polynomial, with error bar.
 
     The reversed polynomial is monic (constant term 1), so its companion
-    matrix directly yields the inverse roots; each gets one guarded Newton
-    polish.  Roots within 1e-9 of ``+-1`` snap to the exact ideal values.
+    matrix directly yields the inverse roots, at every degree; each gets
+    one guarded Newton polish.  Roots within 1e-9 of ``+-1`` snap to the
+    exact ideal values.  The roots come back sorted by real, then imaginary
+    part, so each non-real root sits next to its exact conjugate, the
+    lower one first: `_li4_root_sum` relies on that pairing.
 
     A root may stick out of the unit disk purely because a cluster of
     near-equal roots amplifies coefficient rounding (first-order error bar
@@ -235,20 +239,15 @@ def _inverse_roots(poly: Sequence[float]) -> Tuple[np.ndarray, float]:
     while d > 0 and c[d] == 0.0:
         d -= 1
     c = c[: d + 1]
-    if d == 0:
-        return np.empty(0, complex), 0.0
-    if d == 1:
-        w = np.array([-c[1]], complex)
-    else:
-        w = np.roots(c)
-        dc = np.polyder(c)
-        resid = np.polyval(c, w)
-        deriv = np.polyval(dc, w)
-        safe = np.abs(deriv) > 0.0
-        step = np.where(safe, resid / np.where(safe, deriv, 1.0), 0.0)
-        polished = w - step
-        better = np.abs(np.polyval(c, polished)) < np.abs(resid)
-        w = np.where(better, polished, w)
+    w = np.roots(c)
+    dc = np.polyder(c)
+    resid = np.polyval(c, w)
+    deriv = np.polyval(dc, w)
+    safe = np.abs(deriv) > 0.0
+    step = np.where(safe, resid / np.where(safe, deriv, 1.0), 0.0)
+    polished = w - step
+    better = np.abs(np.polyval(c, polished)) < np.abs(resid)
+    w = np.where(better, polished, w)
     w = np.where(np.abs(w - 1.0) <= _DISK_TOL, 1.0, w)
     w = np.where(np.abs(w + 1.0) <= _DISK_TOL, -1.0, w)
     aw = np.abs(w)
@@ -271,23 +270,19 @@ def _inverse_roots(poly: Sequence[float]) -> Tuple[np.ndarray, float]:
     return w[order], err
 
 
-def _li4_root_sum(w: np.ndarray) -> complex:
-    """Sum of Li4 over sorted roots, pairing conjugates exactly."""
-    total = 0.0 + 0.0j
-    i = 0
-    n = w.size
-    while i < n:
-        wi = w[i]
+def _li4_root_sum(w: np.ndarray) -> float:
+    """Sum of Li4 over the roots of a real polynomial.
+
+    Non-real roots come in exact conjugate pairs, and ``li4(conj z)`` is
+    ``conj(li4(z))`` bit for bit, so each pair adds ``2 Re Li4`` of its lower
+    member and the upper one is skipped.
+    """
+    total = 0.0
+    for wi in w.tolist():
         if wi.imag == 0.0:
-            total += li4(float(wi.real))
-            i += 1
-            continue
-        if i + 1 < n and abs(w[i + 1] - np.conj(wi)) <= 1e-12 * max(1.0, abs(wi)):
-            total += 2.0 * li4(complex(wi)).real
-            i += 2
-            continue
-        total += li4(complex(wi))
-        i += 1
+            total += li4(wi.real)
+        elif wi.imag < 0.0:
+            total += 2.0 * li4(wi).real
     return total
 
 
@@ -298,7 +293,7 @@ def _polylog_node(tables, j: int, t: float) -> Tuple[float, float]:
     ``j``-th node.  The column goes on as Python floats: `delta_polynomial`
     squares with ``**``, which rounds differently on a numpy scalar.
     """
-    value = 0.0 + 0.0j
+    value = 0.0
     floor = 0.0
     for pol, (r, t_coef) in zip(Polarization, tables):
         for r_seg, t_seg in _opaque_segments(r[:, j].tolist(), t_coef[:, j].tolist()):
@@ -318,11 +313,7 @@ def _polylog_node(tables, j: int, t: float) -> Tuple[float, float]:
                 raise UnitDiskRootError(str(exc), t=t, pol=pol) from exc
             value += _li4_root_sum(roots)
             floor += err
-    if abs(value.imag) >= 1e-10:
-        raise PolylogPathError(
-            f"conjugate roots failed to cancel at t={t!r}: Im = {value.imag!r}"
-        )
-    return value.real, floor
+    return value, floor
 
 
 def energy_ratio_polylog(
@@ -402,7 +393,7 @@ def ideal_stack_ratio(stack: StackSpec) -> Fraction:
     _require_bound(stack)
     if not stack.all_ideal:
         raise ValueError("ideal_stack_ratio requires perfect-conductor plates only")
-    if any(g != 1.0 for g in stack.gaps):
+    if not stack.unit_gaps:
         raise ValueError("exact rational ratios are defined at unit gaps")
     total = Fraction(0)
     for left, right in zip(stack.plates[:-1], stack.plates[1:]):
@@ -418,11 +409,14 @@ def energy_ratio(
     """Energy ratio by the requested route.
 
     ``auto`` picks the exact route for all-ideal unit stacks, otherwise the
-    polylog route for uniform gaps with a quadrature fallback whenever the
-    semi-analytic route aborts or cannot certify the requested tolerance.
+    polylog route for uniform gaps, kept only when its ``err_estimate`` meets
+    ``max(abs_tol, rel_tol * |ratio|)``.  Otherwise, or when that route
+    aborts, the quadrature route runs, and of two results the one with the
+    smaller estimate is returned.  That fallback is not yet checked against
+    the tolerance.
     """
     spec = spec or QuadratureSpec()
-    if method == "auto" and stack.all_ideal and all(g == 1.0 for g in stack.gaps):
+    if method == "auto" and stack.all_ideal and stack.unit_gaps:
         method = "ideal"
     if method == "polylog":
         return energy_ratio_polylog(stack, spec)
@@ -438,8 +432,7 @@ def energy_ratio(
             result = energy_ratio_polylog(stack, spec)
         except (PolylogPathError, QuadratureConvergenceError):
             return energy_ratio_quadrature(stack, spec)
-        tolerance = max(spec.abs_tol, spec.rel_tol * abs(result.ratio))
-        if result.err_estimate <= max(tolerance, _POLYLOG_TRUST):
+        if result.err_estimate <= max(spec.abs_tol, spec.rel_tol * abs(result.ratio)):
             return result
         fallback = energy_ratio_quadrature(stack, spec)
         return fallback if fallback.err_estimate < result.err_estimate else result
@@ -447,8 +440,6 @@ def energy_ratio(
 
 
 def _bind(stack: StackSpec, sigma: float) -> StackSpec:
-    from .optics import ConstantConductivity
-
     plates = tuple(
         ConstantConductivity(sigma) if isinstance(p, SweepSlot) else p
         for p in stack.plates

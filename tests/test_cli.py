@@ -26,6 +26,11 @@ from casimir_plates.optics import (
 from casimir_plates.presets import PRESET_NAMES, list_presets, preset_configs
 
 
+# config prefixes: a plain two-plate stack, and one with a sweep slot
+TWO = "plate pe\nplate pe\n"
+SLOT = "plate sigma *\nplate pe\n"
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
@@ -95,6 +100,46 @@ class TestConfigGrammar:
     def test_rejects_bad_config(self, text):
         with pytest.raises(ConfigError):
             validate_config(parse_config(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("plate pe\nplate sigma nan\n", "line 2: conductivity must be finite"),
+            ("plate pe\nplate\n", "line 2: plate needs a kind"),
+            ("plate pe\nplate generic 1.0\n", "line 2: plate generic takes two coupling"),
+            ("plate pe 1\nplate pe\n", "line 1: plate pe takes no parameters"),
+            ("plate pe\nplate sigma -1\n", "line 2: sigma must be finite and >= 0"),
+            (TWO + "gaps\n", "line 3: gaps needs at least one value"),
+            (TWO + "rel-tol\n", "line 3: rel-tol takes one value"),
+            (SLOT + "sweep cubic 1 10 5\n", "line 3: expected 'sweep log|linear"),
+            (SLOT + "sweep log 1 10 five\n", "line 3: sweep points must be an integer"),
+            (TWO + "sweep-shared yes\n", "line 3: sweep-shared takes no parameters"),
+            (TWO + "output a b\n", "line 3: output takes one path"),
+            (TWO + "label a b\n", "line 3: label takes one word"),
+            (TWO + "colour red\n", "line 3: unknown directive 'colour'"),
+            (TWO + "gaps 2\nmethod ideal\n", "method 'ideal' requires unit gaps"),
+            (SLOT + "sweep log 1 10 0\n", "sweep needs at least one point"),
+            (SLOT + "sweep log 0 10 5\n", "log sweeps need a positive start"),
+            (SLOT + "sweep linear -1 10 5\n", "conductivities are non-negative"),
+        ],
+    )
+    def test_rejection_names_line_and_fault(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(message)
+
+    def test_rejects_unknown_method_object(self):
+        config = RunConfig(plates=(PerfectElectric(), PerfectMagnetic()), method="fft")
+        with pytest.raises(ConfigError, match="^method must be one of auto, polylog"):
+            validate_config(config)
+
+    def test_format_rejects_unsupported_plate(self):
+        class Mirror:
+            pass
+
+        config = RunConfig(plates=(PerfectElectric(), Mirror()))
+        with pytest.raises(ConfigError, match="^cannot format plate"):
+            format_config(config)
 
     @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
     def test_rejects_infinite_tolerance(self, field):
@@ -198,6 +243,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "energy_ratio", boom)
         assert cli_mod.main(["--preset", "boyer-pair"]) == 3
         assert "synthetic" in capsys.readouterr().err
+
+    def test_invalid_input_during_run(self, monkeypatch, capsys):
+        import casimir_plates.cli as cli_mod
+
+        def reject(stack, spec=None, method="auto"):
+            raise ValueError("synthetic unusable stack")
+
+        monkeypatch.setattr(cli_mod, "energy_ratio", reject)
+        assert cli_mod.main(["--preset", "boyer-pair"]) == 2
+        assert "error: boyer-pair: synthetic unusable stack" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 4
