@@ -253,7 +253,6 @@ def _inverse_roots(poly: Sequence[float]) -> Tuple[np.ndarray, float]:
     aw = np.abs(w)
     err = 0.0
     if np.any(aw > 1.0 + _DISK_TOL):
-        dc = np.polyder(c)
         deriv = np.abs(np.polyval(dc, w)) * np.maximum(aw, 1e-300)
         scale = np.polyval(np.abs(c), aw)
         kappa = scale / np.maximum(deriv, 1e-300)
