@@ -38,8 +38,8 @@ from .scattering import (
     NodeCoefficients,
     StackGeometry,
     delta_compositions,
-    delta_polynomial,
     delta_total,
+    round_trip_matrix,
 )
 from .special import (
     LI4_MINUS_ONE,
@@ -96,8 +96,8 @@ __all__ = [
     "NodeCoefficients",
     "StackGeometry",
     "delta_compositions",
-    "delta_polynomial",
     "delta_total",
+    "round_trip_matrix",
     # special functions and quadrature
     "LI4_MINUS_ONE",
     "ZETA4",

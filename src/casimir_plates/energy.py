@@ -5,9 +5,9 @@ of perfectly conducting plates at the reference gap, ``-pi^2 A / (720 a^3)``
 in natural units, so ``ratio > 0`` means net attraction.  Two independent
 evaluation routes are provided:
 
-* a semi-analytic route that factors the scattering polynomial at each
-  angular node and sums fourth-order polylogarithms of its inverse roots
-  (uniform gaps only), and
+* a semi-analytic route that takes, at each angular node, the eigenvalues
+  of the round-trip matrix, which are the inverse roots of ``Delta``, and
+  sums their fourth-order polylogarithms (uniform gaps only), and
 * a direct two-dimensional quadrature of ``ln Delta`` over the full
   (angle, frequency) domain, valid for any gaps and any material mix.
 
@@ -33,9 +33,8 @@ from .optics import (
     SweepSlot,
     coefficients,
 )
-from .scattering import NodeCoefficients, StackGeometry, delta_polynomial, delta_total
+from .scattering import StackGeometry, delta_total, round_trip_matrix
 from .special import (
-    _ZETA3,
     QuadratureConvergenceError,
     QuadratureSpec,
     _integrate_floor,
@@ -70,15 +69,8 @@ C_LIGHT = 2.99792458e8
 _PREFACTOR_POLYLOG = 45.0 / math.pi**4
 _PREFACTOR_QUAD = -45.0 / (2.0 * math.pi**4)
 
-_EPS = float(np.finfo(float).eps)
-
-# Inverse roots may stick out of the unit disk by this much before any
-# conditioning analysis is consulted.
-_DISK_TOL = 1e-9
-
-# The root error bar is not certified for long segments (graphene N=16, 17
-# and 20 raise `UnitDiskRootError`); longer ones go to the quadrature route.
-_MAX_POLYLOG_PLATES = 16
+# The error bound `li4` states, charged to a node once per Li4 term.
+_LI4_ERROR = 1e-14
 
 
 class PolylogPathError(RuntimeError):
@@ -86,10 +78,10 @@ class PolylogPathError(RuntimeError):
 
 
 class UnitDiskRootError(PolylogPathError):
-    """A scattering-polynomial root landed inside the unit interval.
+    """An inverse root of Delta left the closed unit disk.
 
-    Equivalently, an inverse root left the closed unit disk by more than
-    its numerical error bar, which would make ``ln Delta`` singular on the
+    The eigenvalue of the round-trip matrix lies beyond ``|w| = 1 + 1e-12``,
+    the most `li4` accepts, which would make ``ln Delta`` singular on the
     integration domain.  Carries the offending node for diagnosis.
     """
 
@@ -216,63 +208,24 @@ def _opaque_segments(r: Sequence[float], t_coef: Sequence[float]) -> List[Tuple[
     ]
 
 
-def _inverse_roots(poly: Sequence[float]) -> Tuple[np.ndarray, float]:
-    """Inverse roots ``w = 1/x`` of a scattering polynomial, with error bar.
+def _inverse_roots(m: np.ndarray) -> np.ndarray:
+    """Inverse roots ``w = 1/x`` of Delta: the eigenvalues of its round-trip matrix.
 
-    The reversed polynomial is monic (constant term 1), so its companion
-    matrix directly yields the inverse roots, at every degree; each gets
-    one guarded Newton polish.  Roots within 1e-9 of ``+-1`` snap to the
-    exact ideal values.  The roots come back sorted by real, then imaginary
-    part, so each non-real root sits next to its exact conjugate, the
-    lower one first: `_li4_root_sum` relies on that pairing.
-
-    A root may stick out of the unit disk purely because a cluster of
-    near-equal roots amplifies coefficient rounding (first-order error bar
-    ``kappa * eps`` with ``kappa`` the root condition number).  Such roots
-    are projected back onto the circle and the induced uncertainty of the
-    polylogarithm sum, bounded through the Lipschitz constant of Li4, is
-    returned alongside.  An excursion beyond its error bar is genuine and
-    raises ``ValueError``.
+    ``Delta(x) = det(I - x M) = prod_i (1 - w_i x)`` (see
+    `round_trip_matrix`).  LAPACK returns each non-real eigenvalue of the
+    real ``M`` next to its exact conjugate, as `_li4_root_sum` needs.  The
+    eigenvalues are backward stable in the entries of ``M``, each a sum of
+    at most two products of two amplitudes; unlike the roots of Delta
+    multiplied out into coefficients, they do not inherit the rounding of
+    those coefficients, which spreads the root cluster near ``t -> 0``.
     """
-    c = np.asarray(poly, float)
-    d = c.size - 1
-    while d > 0 and c[d] == 0.0:
-        d -= 1
-    c = c[: d + 1]
-    w = np.roots(c)
-    dc = np.polyder(c)
-    resid = np.polyval(c, w)
-    deriv = np.polyval(dc, w)
-    safe = np.abs(deriv) > 0.0
-    step = np.where(safe, resid / np.where(safe, deriv, 1.0), 0.0)
-    polished = w - step
-    better = np.abs(np.polyval(c, polished)) < np.abs(resid)
-    w = np.where(better, polished, w)
-    w = np.where(np.abs(w - 1.0) <= _DISK_TOL, 1.0, w)
-    w = np.where(np.abs(w + 1.0) <= _DISK_TOL, -1.0, w)
-    aw = np.abs(w)
-    err = 0.0
-    if np.any(aw > 1.0 + _DISK_TOL):
-        deriv = np.abs(np.polyval(dc, w)) * np.maximum(aw, 1e-300)
-        scale = np.polyval(np.abs(c), aw)
-        kappa = scale / np.maximum(deriv, 1e-300)
-        bar = np.minimum(50.0 * _EPS * kappa, 0.05)
-        excess = aw - 1.0 - _DISK_TOL
-        if np.any(excess > bar):
-            j = int(np.argmax(excess - bar))
-            raise ValueError(
-                f"inverse root at |w| = {float(aw[j])!r} exceeds its error bar {float(bar[j])!r}"
-            )
-        err = _ZETA3 * float(np.sum(bar))  # |Li4'| <= zeta(3) on the closed disk
-        w = np.where(aw > 1.0, w / aw, w)
-    order = np.lexsort((w.imag, w.real))
-    return w[order], err
+    return np.linalg.eigvals(m)
 
 
 def _li4_root_sum(w: np.ndarray) -> float:
-    """Sum of Li4 over the roots of a real polynomial.
+    """Sum of Li4 over the eigenvalues of a real matrix.
 
-    Non-real roots come in exact conjugate pairs, and ``li4(conj z)`` is
+    Non-real eigenvalues come in exact conjugate pairs, and ``li4(conj z)`` is
     ``conj(li4(z))`` bit for bit, so each pair adds ``2 Re Li4`` of its lower
     member and the upper one is skipped.
     """
@@ -289,42 +242,37 @@ def _polylog_node(tables, j: int, t: float) -> Tuple[float, float]:
     """Node value ``sum_pol sum_i Li4(w_i)`` and its uncertainty at column ``j``.
 
     ``tables`` are the `_coefficient_tables` of a panel and ``t`` is its
-    ``j``-th node.  The column goes on as Python floats: `delta_polynomial`
-    squares with ``**``, which rounds differently on a numpy scalar.
+    ``j``-th node.  The uncertainty is the error bound of `li4`, once per
+    term.  An inverse root outside the unit disk (``li4`` refuses
+    ``|w| > 1 + 1e-12``) raises `UnitDiskRootError` naming the node.
     """
     value = 0.0
-    floor = 0.0
+    terms = 0
     for pol, (r, t_coef) in zip(Polarization, tables):
         for r_seg, t_seg in _opaque_segments(r[:, j].tolist(), t_coef[:, j].tolist()):
-            if len(r_seg) > _MAX_POLYLOG_PLATES:
-                raise PolylogPathError(
-                    f"a segment of {len(r_seg)} plates at t={t!r} exceeds the "
-                    f"{_MAX_POLYLOG_PLATES} plates the root error bar is trusted for"
-                )
+            terms += len(r_seg) - 1
             if len(r_seg) == 2:
                 # pair: Delta = 1 - r r' x has the single inverse root r r'
                 value += li4(r_seg[0] * r_seg[1])
                 continue
-            poly = delta_polynomial(NodeCoefficients(r_seg, t_seg))
             try:
-                roots, err = _inverse_roots(poly)
+                value += _li4_root_sum(_inverse_roots(round_trip_matrix(r_seg, t_seg)))
             except ValueError as exc:
                 raise UnitDiskRootError(str(exc), t=t, pol=pol) from exc
-            value += _li4_root_sum(roots)
-            floor += err
-    return value, floor
+    return value, _LI4_ERROR * terms
 
 
 def energy_ratio_polylog(
     stack: StackSpec, spec: Optional[QuadratureSpec] = None
 ) -> EnergyResult:
-    """Energy ratio via per-node root finding and polylogarithms.
+    """Energy ratio via per-node eigenvalues and polylogarithms.
 
     Requires uniform gaps (all equal); a common gap ``g != 1`` only rescales
-    the ratio by ``1 / g**3``.  The returned error estimate combines the
-    angular quadrature bound with the accumulated uncertainty of any
-    ill-conditioned root clusters (see `_inverse_roots`); a large estimate
-    is the signal that the quadrature route should be preferred.
+    the ratio by ``1 / g**3``.  The angular integral runs in ``t = x**3``,
+    whose weight ``3 x**2`` spreads the small angles, where the reflections
+    of strong sheets turn on (near ``t = 2 / sigma``), over more of the
+    interval.  The returned error estimate combines the angular quadrature
+    bound with the `li4` error bound of every node.
     """
     _require_bound(stack)
     spec = spec or QuadratureSpec()
@@ -333,8 +281,10 @@ def energy_ratio_polylog(
     g = stack.gaps[0]
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        tables = _coefficient_tables(stack, x)
-        return np.array([_polylog_node(tables, j, t) for j, t in enumerate(x.tolist())]).T
+        t = x**3
+        tables = _coefficient_tables(stack, t)
+        nodes = np.array([_polylog_node(tables, j, tj) for j, tj in enumerate(t.tolist())])
+        return 3.0 * x * x * nodes.T  # values and floors, each times dt/dx
 
     value, bound = _integrate_floor(integrand, 0.0, 1.0, spec)
     scale = _PREFACTOR_POLYLOG / g**3
@@ -408,8 +358,8 @@ def energy_ratio(
     """Energy ratio by the requested route.
 
     ``auto`` picks the exact route for all-ideal unit stacks, otherwise the
-    polylog route for uniform gaps, kept only when its ``err_estimate`` meets
-    ``max(abs_tol, rel_tol * |ratio|)``.  Otherwise, or when that route
+    polylog route for uniform gaps, at any number of plates, kept only when
+    its ``err_estimate`` meets ``max(abs_tol, rel_tol * |ratio|)``.  Otherwise, or when that route
     aborts, the quadrature route runs, and of two results the one with the
     smaller estimate is returned.  That fallback is not yet checked against
     the tolerance.

@@ -13,9 +13,10 @@ partitions) of ``N - 1``: a part of size 1 contributes a nearest-neighbour
 factor ``1 - r r' y`` and a part of size ``c >= 2`` a beyond-nearest loop
 passing through the intermediate plates twice.  `delta_compositions` sums
 those ``2**(N-2)`` products literally, the only code that walks them: it is
-the independent oracle the tests check the other two against.
-`delta_polynomial` groups the same sum by its last part, an ``O(N^2)``
-recursion for the polynomial form of Delta in ``x = exp(-s)`` at unit gaps.
+the independent oracle the tests check the other two against.  That sum is
+the expansion of a determinant: at unit gaps ``Delta = det(I - x M)`` with
+``x = exp(-s)`` and `round_trip_matrix` ``M``, whose eigenvalues the
+polylog route takes as the inverse roots of Delta.
 
 Everything is evaluated in the scaled variable ``s = 2 kappa a_ref`` so a
 gap of dimensionless length ``g`` carries a round-trip factor
@@ -38,7 +39,7 @@ __all__ = [
     "compositions",
     "delta_total",
     "delta_compositions",
-    "delta_polynomial",
+    "round_trip_matrix",
 ]
 
 #: One term of the expansion: ordered positive integers summing to N - 1.
@@ -196,27 +197,32 @@ def delta_compositions(
     return total
 
 
-def delta_polynomial(coeffs: NodeCoefficients) -> Tuple[float, ...]:
-    """The coefficients ``c_0 ... c_{N-1}`` of Delta in ``x = exp(-s)``, unit gaps.
+def round_trip_matrix(r, t) -> np.ndarray:
+    """The ``(N-1) x (N-1)`` round-trip matrix ``M`` with ``Delta = det(I - x M)``.
 
-    The paper's composition sum grouped by its last part ``c``: with
-    ``d_0 = 1``, ``d_j = d_{j-1} + sum_{c=1..j} b_{j,c} x^c d_{j-c}`` where
-    ``b_{j,c} = -r_{j-c} r_j prod_{m=j-c+1}^{j-1} t_m^2``, so ``c = 1`` gives
-    the nearest-neighbour factor ``1 - r_{j-1} r_j x`` and ``c >= 2`` the
-    loop through the intermediate plates.  Delta is ``d_{N-1}``: ``O(N^2)``
-    part factors in place of ``2**(N-2)`` products.  Only unit gaps give
-    every gap the same variable ``x``.  ``c_0 = 1``; trailing coefficients
-    may be exactly zero (opaque interior plates) and are kept.
+    ``r`` and ``t`` are the N plates' amplitudes at one node; every gap is
+    the unit gap and ``x = exp(-s)``.  The waves of a source-free field are
+    ``u_k``, moving right just right of plate ``k``, and ``v_k``, moving
+    left just left of plate ``k + 1``, one pair per gap ``k = 0 .. N-2``:
+
+    ``u_0 = r_0 v_0``, ``u_k = t_k u_{k-1} + r_k v_k``,
+    ``v_{k-1} = r_k u_{k-1} + t_k v_k``, ``v_{N-2} = r_{N-1} u_{N-2}``,
+
+    where every wave on a right-hand side has crossed one gap, a factor
+    ``sqrt(x)``.
+    Every equation links the class ``E = {u_k, k even} + {v_k, k odd}`` to
+    the rest, ``O``, so the operator is ``[[0, A], [B, 0]]`` and its
+    determinant ``det(I - sqrt(x) [[0, A], [B, 0]])`` is ``det(I - x A B)``:
+    ``M = A B``.  Row ``k`` of ``A`` is the equation of ``u_k`` for even
+    ``k`` and of ``v_k`` for odd ``k``; ``B`` takes the other one.  This is
+    the multiple-scattering form ``det(1 - T G T G)`` of Emig, Graham, Jaffe
+    and Kardar (PRL 99, 2007); the eigenvalues of ``M`` are the inverse
+    roots of Delta in ``x``.
     """
-    r, t = coeffs.r, coeffs.t_coef
-    d = [[1.0]]
-    for j in range(1, coeffs.n_plates):
-        dj = d[j - 1] + [0.0]
-        trans = 1.0
-        for c in range(1, j + 1):
-            part = -r[j - c] * r[j] * trans
-            for k, v in enumerate(d[j - c]):
-                dj[k + c] += part * v
-            trans *= t[j - c] ** 2
-        d.append(dj)
-    return tuple(d[-1])
+    r = np.asarray(r, float)
+    t = np.asarray(t, float)
+    inner = t[1:-1]
+    rightward = np.diag(r[:-1]) + np.diag(inner, -1)  # the equations of u_k
+    leftward = np.diag(r[1:]) + np.diag(inner, 1)  # the equations of v_k
+    even = (np.arange(r.size - 1) % 2 == 0)[:, None]
+    return np.where(even, rightward, leftward) @ np.where(even, leftward, rightward)

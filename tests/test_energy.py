@@ -9,6 +9,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from casimir_plates.energy import (
     SweepError,
     UnitDiskRootError,
     _inverse_roots,
+    _li4_root_sum,
     absolute_energy,
     energy_ratio,
     energy_ratio_polylog,
@@ -38,7 +40,7 @@ from casimir_plates.optics import (
     Transparent,
     coefficients,
 )
-from casimir_plates.scattering import NodeCoefficients, delta_polynomial
+from casimir_plates.scattering import round_trip_matrix
 from casimir_plates.special import QuadratureSpec, _integrate_floor, li4
 
 GRAPHENE = ConstantConductivity(SIGMA_GRAPHENE)
@@ -51,7 +53,7 @@ GRAPHENE_RATIOS = {
     3: 0.010999557906,
     4: 0.016658419044,
     5: 0.022330307141,
-    6: 0.028007407939,
+    6: 0.028007412696,
 }
 
 
@@ -74,7 +76,8 @@ class TestReferenceValues:
 
     def test_graphene_six_plates(self):
         result = energy_ratio_polylog(uniform_stack([GRAPHENE] * 6))
-        assert result.ratio == pytest.approx(GRAPHENE_RATIOS[6], abs=2e-6)
+        assert result.ratio == pytest.approx(GRAPHENE_RATIOS[6], abs=1e-10)
+        assert result.err_estimate < 1e-8
 
     def test_graphene_pair_quadrature(self):
         result = energy_ratio_quadrature(uniform_stack([GRAPHENE, GRAPHENE]))
@@ -406,50 +409,33 @@ class TestResultAndSpecValidation:
 
 
 class TestRootDiagnostics:
+    def test_inverse_roots_are_the_eigenvalues(self):
+        # Delta = (1 - 0.25 x)(1 - 0.6 x) for a triangular M
+        assert _inverse_roots(np.array([[0.25]])).tolist() == [0.25]
+        w = _inverse_roots(np.array([[0.25, 3.0], [0.0, 0.6]]))
+        assert sorted(w.real.tolist()) == pytest.approx([0.25, 0.6], rel=1e-15)
+        assert not w.imag.any()
+
     def test_genuine_interior_root_aborts(self):
-        # inverse roots 2.0 and 0.6: the former is far outside any error bar
+        # inverse roots 2.0 and 0.6: li4 refuses the former
         with pytest.raises(ValueError):
-            _inverse_roots([1.0, -2.6, 1.2])
+            _li4_root_sum(_inverse_roots(np.array([[2.0, 0.0], [0.0, 0.6]])))
 
     def test_marginal_root_aborts(self):
         with pytest.raises(ValueError):
-            _inverse_roots([1.0, -(1.0 + 1e-5)])
+            _li4_root_sum(_inverse_roots(np.array([[1.0 + 1e-5]])))
 
-    def test_clean_roots_pass(self):
-        roots, err = _inverse_roots([1.0, -0.25])
-        assert err == 0.0
-        assert roots[0] == pytest.approx(0.25)
-        # degree 0 (also once zero high-order coefficients are trimmed) and
-        # degree 1, including the snap onto +-1
-        cases = [
-            ((1.0,), []),
-            ((1.0, 0.0), []),
-            ((1.0, -0.0), []),
-            ((1.0, 0.5), [-0.5]),
-            ((1.0, -0.999), [0.999]),
-            ((1.0, -1.0), [1.0]),
-            ((1.0, 1.0), [-1.0]),
-            ((1.0, -(1.0 - 1e-10)), [1.0]),
-            ((1.0, 1.0 + 1e-10), [-1.0]),
-        ]
-        for poly, expected in cases:
-            roots, err = _inverse_roots(poly)
-            assert err == 0.0
-            assert roots.tolist() == expected, poly
+    def test_roots_on_the_unit_circle_pass(self):
+        # Delta = 1 - x^2: inverse roots +1 and -1, Li4 sum zeta(4) + Li4(-1)
+        w = _inverse_roots(round_trip_matrix((1.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
+        assert sorted(w.real.tolist()) == [-1.0, 1.0]
+        assert _li4_root_sum(w) == pytest.approx(li4(1.0) + li4(-1.0), abs=1e-15)
 
-    def test_non_real_roots_sit_next_to_their_exact_conjugates(self):
+    def test_non_real_roots_come_with_their_exact_conjugates(self):
         import casimir_plates.energy as energy_mod
 
         rng = np.random.default_rng(20261019)
-        polys = []
-        for _ in range(300):
-            # monic in w with inverse roots inside the disk: real ones and conjugate pairs
-            n_pairs = int(rng.integers(0, 4))
-            n_real = int(rng.integers(0 if n_pairs else 2, 4))
-            angles = rng.uniform(0.01, 3.13, n_pairs)
-            pairs = rng.uniform(0.05, 0.95, n_pairs) * np.exp(1j * angles)
-            w = np.concatenate([rng.uniform(-0.95, 0.95, n_real), pairs, pairs.conj()])
-            polys.append(np.poly(w).real.tolist())
+        matrices = [rng.uniform(-0.3, 0.3, (d, d)) for d in rng.integers(2, 8, 200)]
         kinds = [ConstantConductivity(s) for s in (0.01, SIGMA_GRAPHENE, 1.0, 50.0)]
         kinds += [GenericDeltaPlate(e, m) for e, m in ((1.0, 0.5), (3.0, 1.0), (0.5, 2.0))]
         for _ in range(60):
@@ -458,30 +444,37 @@ class TestRootDiagnostics:
             t = rng.uniform(0.001, 1.0, 4)
             for r, t_coef in energy_mod._coefficient_tables(uniform_stack(plates), t):
                 for j in range(t.size):
-                    node = NodeCoefficients(r[:, j].tolist(), t_coef[:, j].tolist())
-                    polys.append(delta_polynomial(node))
+                    matrices.append(round_trip_matrix(r[:, j], t_coef[:, j]))
         paired = 0
-        for poly in polys:
-            w = [complex(x) for x in _inverse_roots(poly)[0].tolist()]
-            i = 0
-            while i < len(w):
-                if w[i].imag == 0.0:
-                    i += 1
-                    continue
-                # the lower member first, then its conjugate to the last bit
-                assert w[i].imag < 0.0, poly
-                assert i + 1 < len(w), poly
-                assert np.array(w[i + 1]).tobytes() == np.array(w[i].conjugate()).tobytes()
-                paired += 1
-                i += 2
+        for m in matrices:
+            w = _inverse_roots(m).tolist()
+            lower = sorted((z.real, -z.imag) for z in w if z.imag < 0.0)
+            upper = sorted((z.real, z.imag) for z in w if z.imag > 0.0)
+            # `_li4_root_sum` counts the lower member twice and skips the upper
+            assert lower == upper, m
+            paired += len(lower)
         assert paired > 300
 
-    def test_error_bar_message_prints_plain_floats(self):
+    def test_error_message_prints_plain_floats(self):
         with pytest.raises(ValueError) as err:
-            _inverse_roots((1.0, -1.5))
+            _li4_root_sum(_inverse_roots(np.array([[1.5]])))
         message = str(err.value)
-        assert message.startswith("inverse root at |w| = 1.5 exceeds its error bar ")
+        assert message == "li4 argument outside the unit disk: |z| = 1.5"
         assert "np.float64" not in message
+
+    def test_node_floor_is_the_li4_bound_per_term(self):
+        import casimir_plates.energy as energy_mod
+
+        # segments (G, PE), one root, and (PE, G, G), two roots, per polarization
+        stack = uniform_stack([GRAPHENE, PE, GRAPHENE, GRAPHENE])
+        tables = energy_mod._coefficient_tables(stack, np.array([0.3]))
+        value, floor = energy_mod._polylog_node(tables, 0, 0.3)
+        assert floor == 6 * 1e-14
+        expected = 0.0
+        for r, t_coef in tables:
+            expected += li4(r[0, 0] * r[1, 0])
+            expected += _li4_root_sum(_inverse_roots(round_trip_matrix(r[1:, 0], t_coef[1:, 0])))
+        assert value == expected
 
     def test_exception_hierarchy(self):
         assert issubclass(UnitDiskRootError, PolylogPathError)
@@ -520,26 +513,23 @@ class TestRootDiagnostics:
 
 
 class TestLongUniformStacks:
-    def test_auto_falls_back_to_quadrature(self):
-        spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-7)
-        result = energy_ratio(uniform_stack((GRAPHENE,) * 64), spec)
-        assert result.method == "quadrature"
-        assert result.err_estimate <= max(spec.abs_tol, spec.rel_tol * abs(result.ratio))
-
-    def test_polylog_refuses_before_expanding_compositions(self, monkeypatch):
+    @pytest.mark.parametrize("n", [20, 64])
+    def test_auto_and_polylog_meet_tolerance_without_compositions(self, monkeypatch, n):
         import casimir_plates.scattering as scattering_mod
 
         def compositions(n):
             raise AssertionError(f"compositions({n}) was called")
 
         monkeypatch.setattr(scattering_mod, "compositions", compositions)
-        with pytest.raises(PolylogPathError):
-            energy_ratio(uniform_stack((GRAPHENE,) * 20), method="polylog")
+        spec = QuadratureSpec()
+        stack = uniform_stack((GRAPHENE,) * n)
+        for result in (energy_ratio_polylog(stack, spec), energy_ratio(stack, spec)):
+            assert result.err_estimate <= auto_tolerance(spec, result)
 
     @pytest.mark.parametrize(
         "plates", [(GRAPHENE,) * 5, (PM,) + (ConstantConductivity(1.0),) * 3]
     )
-    def test_polylog_builds_polynomial_without_compositions(self, monkeypatch, plates):
+    def test_polylog_builds_round_trip_matrix_without_compositions(self, monkeypatch, plates):
         import casimir_plates.scattering as scattering_mod
 
         def compositions(n):
@@ -557,22 +547,127 @@ def auto_tolerance(spec, result):
     return max(spec.abs_tol, spec.rel_tol * abs(result.ratio))
 
 
+def mp_node_sum(r, t_coef):
+    """``sum_i Li4(w_i)`` over the inverse roots of one polarization's Delta, 60 digits.
+
+    Delta's polynomial in ``x`` comes from the paper's composition sum
+    grouped by its last part, in mpmath arithmetic on the same float
+    amplitudes; its inverse roots are the roots of the reversed polynomial.
+    """
+    with mpmath.workdps(60):
+        r = [mpmath.mpf(v) for v in r]
+        t_coef = [mpmath.mpf(v) for v in t_coef]
+        d = [[mpmath.mpf(1)]]
+        for j in range(1, len(r)):
+            dj = d[j - 1] + [mpmath.mpf(0)]
+            trans = mpmath.mpf(1)
+            for c in range(1, j + 1):
+                part = -r[j - c] * r[j] * trans
+                for k, v in enumerate(d[j - c]):
+                    dj[k + c] += part * v
+                trans *= t_coef[j - c] ** 2
+            d.append(dj)
+        w = mpmath.polyroots(d[-1], maxsteps=500, extraprec=500)
+        return float(mpmath.re(mpmath.fsum(mpmath.polylog(4, z) for z in w)))
+
+
+class TestPolylogNode:
+    @pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize(
+        "plates",
+        [(GRAPHENE,) * 6, (GRAPHENE,) * 8, (ConstantConductivity(1.0),) * 12],
+        ids=["graphene-N6", "graphene-N8", "sigma1-N12"],
+    )
+    def test_node_within_its_floor_of_mpmath(self, plates, t):
+        # near grazing angle the inverse roots cluster at the unit circle
+        import casimir_plates.energy as energy_mod
+
+        tables = energy_mod._coefficient_tables(uniform_stack(plates), np.array([t]))
+        value, floor = energy_mod._polylog_node(tables, 0, t)
+        reference = sum(mp_node_sum(r[:, 0].tolist(), tc[:, 0].tolist()) for r, tc in tables)
+        assert abs(value - reference) <= floor
+
+
+class TestPolylogReferences:
+    # nested scipy quadrature of ln Delta at epsabs 1e-13, apart from the
+    # package (the method of perfbench/references.py): (ratio, uncertainty)
+    REFERENCES = [
+        ((GRAPHENE,) * 6, 0.028007412696402036, 2.3e-13),
+        ((GRAPHENE,) * 8, 0.039367883254657364, 3.0e-13),
+        ((GRAPHENE,) * 12, 0.06209670973467868, 5.4e-13),
+        ((GRAPHENE,) * 16, 0.0848283115407663, 7.2e-13),
+        ((ConstantConductivity(1.0),) * 10, 1.6669711230603892, 4.2e-13),
+        ((ConstantConductivity(1.0),) * 12, 2.038965905332651, 5.7e-13),
+        ((ConstantConductivity(1.0),) * 16, 2.7829590412522376, 7.9e-13),
+    ]
+
+    @pytest.mark.parametrize(
+        "plates, reference, unc",
+        REFERENCES,
+        ids=["graphene-N6", "graphene-N8", "graphene-N12", "graphene-N16",
+             "sigma1-N10", "sigma1-N12", "sigma1-N16"],
+    )
+    def test_polylog_meets_tolerance_and_covers_reference(self, plates, reference, unc):
+        spec = QuadratureSpec()
+        result = energy_ratio_polylog(uniform_stack(plates), spec)
+        assert result.err_estimate <= auto_tolerance(spec, result)
+        assert abs(result.ratio - reference) <= result.err_estimate + unc
+
+    # CLI rows whose printed err_estimate did not cover their error when the
+    # polylog route factored the multiplied-out Delta polynomial; references
+    # from energy_ratio_quadrature at QuadratureSpec(1e-11, 1e-14), estimates
+    # 2e-12 to 7e-12, each within 1.1e-12 of nested scipy quadrature
+    CLI_ROWS = [
+        ("fig5-edge", "fig5-edge", 601.3450635, 2.072097692052),
+        ("fig2", "sweep-N6", 2.236067977, 1.602543990743),
+        ("fig2", "sweep-N5", 17.09975947, 2.898814089179),
+        ("fig2", "sweep-N6", 1.34464844, 1.147070252391),
+        ("fig2", "sweep-N5", 6.18354466, 2.128141722875),
+    ]
+
+    @pytest.mark.parametrize("preset, label, sigma, reference", CLI_ROWS)
+    def test_preset_row_within_its_estimate(self, preset, label, sigma, reference):
+        from casimir_plates.presets import preset_configs
+
+        config = next(c for c in preset_configs(preset) if c.label == label)
+        exact = next(s for s in config.sweep_grid.values() if abs(s - sigma) < 1e-6 * sigma)
+        (point,) = sweep(
+            config.to_spec(),
+            [exact],
+            shared=config.sweep_shared,
+            method=config.method,
+            spec=config.quadrature_spec(),
+        )
+        result = point.result
+        assert abs(result.ratio - reference) <= result.err_estimate + 2e-11
+
+
 class TestAutoTolerance:
-    def test_polylog_result_over_tolerance_falls_back(self):
-        # the polylog bar of graphene N=6 misses the default tolerance at any gap;
-        # the ratio scales as 1/g**3, so gap 2 must agree with gap 1 over 8
+    def test_polylog_result_over_tolerance_falls_back(self, monkeypatch):
+        import casimir_plates.energy as energy_mod
+
+        spec = QuadratureSpec()
+        stack = uniform_stack([GRAPHENE] * 3)
+        exact = energy_ratio_polylog(stack, spec)
+
+        def loose_polylog(stack, spec=None):
+            return EnergyResult(exact.ratio, exact.per_plate, "polylog", 1e-3)
+
+        monkeypatch.setattr(energy_mod, "energy_ratio_polylog", loose_polylog)
+        result = energy_ratio(stack, spec)
+        assert result.method == "quadrature"
+        assert result.err_estimate <= auto_tolerance(spec, result)
+        assert abs(result.ratio - exact.ratio) <= result.err_estimate + exact.err_estimate
+
+    def test_graphene_six_plates_at_gap_two_stays_polylog(self):
+        # the ratio scales as 1/g**3, so gap 2 must agree with the 60-digit
+        # mpmath value at gap 1 over 8
         spec = QuadratureSpec()
         result = energy_ratio(uniform_stack([GRAPHENE] * 6, gap=2.0), spec)
+        assert result.method == "polylog"
         assert result.err_estimate <= auto_tolerance(spec, result)
-        unit = energy_ratio_quadrature(uniform_stack([GRAPHENE] * 6), spec)
-        assert abs(result.ratio - unit.ratio / 8) <= result.err_estimate
+        assert abs(result.ratio - 0.028007412696401914 / 8) <= result.err_estimate
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 4: auto returns its quadrature fallback without checking "
-        "it; sigma=1 N=10 reports 1.94e-9 against 1.67e-9, fig2's sweep-N5 row at "
-        "sigma=601.345 reports 4.65e-5 against 3.92e-5",
-    )
     def test_auto_meets_tolerance_or_raises(self):
         from casimir_plates.presets import preset_configs
 
@@ -699,11 +794,6 @@ class TestQuadratureRoute:
 
 
 class TestStrongCouplingBound:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known fault: at sigma=1e6 and rel 1e-4 the adaptive t-integration stops "
-        "early; err_estimate 3.1e-6 against a true error of 9.8e-6",
-    )
     def test_polylog_bound_holds_at_large_sigma(self):
         stack = StackSpec((ConstantConductivity(1e6),) * 2, (1.0,))
         result = energy_ratio_polylog(stack, QuadratureSpec(1e-4))

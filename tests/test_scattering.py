@@ -25,8 +25,8 @@ from casimir_plates.scattering import (
     StackGeometry,
     compositions,
     delta_compositions,
-    delta_polynomial,
     delta_total,
+    round_trip_matrix,
 )
 
 RNG_SEED = 20250822
@@ -342,77 +342,42 @@ class TestStructuralInvariants:
         assert math.isfinite(value)
 
 
-class TestDeltaPolynomial:
-    def test_pair_equal_plates(self):
-        r = 0.62
-        coeffs = NodeCoefficients((r, r), (1 - r, 1 - r))
-        poly = delta_polynomial(coeffs)
-        assert poly[0] == 1.0
-        assert poly[1] == pytest.approx(-(r**2), rel=1e-15)
+class TestRoundTripMatrix:
+    def test_pair_is_one_round_trip(self):
+        r0, r1 = 0.62, -0.3
+        m = round_trip_matrix((r0, r1), (1 - r0, 1 + r1))
+        assert m.tolist() == [[r0 * r1]]
 
-    def test_three_equal_plates(self):
-        r, t = 0.4, 0.6
-        coeffs = NodeCoefficients((r, r, r), (t, t, t))
-        poly = delta_polynomial(coeffs)
-        assert list(poly) == pytest.approx(
-            [1.0, -2 * r**2, r**4 - r**2 * t**2], rel=1e-14
-        )
+    def test_three_plates_hand_formula(self):
+        r0, r1, r2, t1 = 0.4, 0.3, -0.7, 0.6
+        m = round_trip_matrix((r0, r1, r2), (0.5, t1, 0.2))
+        assert m.tolist() == [[r0 * r1, r0 * t1], [r2 * t1, r2 * r1]]
 
-    @pytest.mark.parametrize("n", range(2, 17))
-    def test_matches_total_and_oracle(self, n):
-        # the composition oracle up to N=10, the transfer matrix beyond; the
-        # oracle costs 2**(N-2) terms a call, so stacks above N=6 get 10 instances
-        deltas = (delta_total, delta_compositions) if n <= 10 else (delta_total,)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_determinant_matches_total_and_oracle(self, n):
+        # Delta = det(I - x M) at unit gaps, x = exp(-s)
         rng = np.random.default_rng(RNG_SEED + 8)
-        for _ in range(50 if n <= 6 else 10):
+        for _ in range(20):
             coeffs, _, _ = random_instance(rng, n=n)
             geo = StackGeometry((1.0,) * (n - 1))
-            poly = delta_polynomial(coeffs)
-            assert poly[0] == 1.0
-            assert len(poly) == n
-            for x in rng.uniform(0.0, 0.95, size=20):
+            m = round_trip_matrix(coeffs.r, coeffs.t_coef)
+            assert m.shape == (n - 1, n - 1)
+            for x in rng.uniform(0.0, 0.95, size=5):
                 s = -math.log(x) if x > 0 else 60.0
-                value = np.polyval(poly[::-1], x)
-                for delta in deltas:
-                    direct = delta(coeffs, geo, s)
-                    assert value == pytest.approx(direct, rel=1e-12, abs=1e-12)
+                value = np.linalg.det(np.eye(n - 1) - x * m)
+                for delta in (delta_total, delta_compositions):
+                    assert value == pytest.approx(delta(coeffs, geo, s), rel=1e-12, abs=1e-12)
 
-    @staticmethod
-    def composition_expansion(coeffs):
-        """The composition sum multiplied out term by term with `np.convolve`."""
-        n, r, t = coeffs.n_plates, coeffs.r, coeffs.t_coef
-        total = np.zeros(n)
-        for comp in compositions(n - 1):
-            prod = np.array([1.0])
-            p = 0
-            for c in comp:
-                q = p + c
-                if c == 1:
-                    factor = np.array([1.0, -r[p] * r[q]])
-                else:
-                    trans = 1.0
-                    for m in range(p + 1, q):
-                        trans *= t[m] ** 2
-                    factor = np.zeros(c + 1)
-                    factor[c] = -r[p] * r[q] * trans
-                prod = np.convolve(prod, factor)
-                p = q
-            total[: prod.size] += prod
-        return [float(c).hex() for c in total]
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_short_stacks_bit_identical_to_composition_expansion(self, n):
-        # short stacks keep the CLI figures byte for byte: same roundings,
-        # signed zeros included
-        rng = np.random.default_rng(RNG_SEED + 9)
-        for _ in range(500):
-            coeffs, _, _ = random_instance(rng, n=n)
-            special = (0.0, -0.0, 1.0, -1.0)
-            r = [v if rng.random() > 0.4 else special[rng.integers(4)] for v in coeffs.r]
-            t = [v if rng.random() > 0.1 else 0.0 for v in coeffs.t_coef]
-            coeffs = NodeCoefficients(r, t)
-            poly = [c.hex() for c in delta_polynomial(coeffs)]
-            assert poly == self.composition_expansion(coeffs)
+    def test_opaque_plate_decouples_the_segments(self):
+        # t = 0 inside the stack: the matrix is block triangular and its
+        # eigenvalues are those of the two segments
+        r, t = (0.5, -0.4, 1.0, 0.3, 0.8), (0.5, 0.6, 0.0, 0.7, 0.2)
+        whole = np.sort_complex(np.linalg.eigvals(round_trip_matrix(r, t)))
+        parts = np.concatenate(
+            [np.linalg.eigvals(round_trip_matrix(r[:3], t[:3])),
+             np.linalg.eigvals(round_trip_matrix(r[2:], t[2:]))]
+        )
+        assert whole == pytest.approx(np.sort_complex(parts), abs=1e-15)
 
 
 class TestValidation:
