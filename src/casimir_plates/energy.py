@@ -7,7 +7,8 @@ evaluation routes are provided:
 
 * a semi-analytic route that takes, at each angular node, the eigenvalues
   of the round-trip matrix, which are the inverse roots of ``Delta``, and
-  sums their fourth-order polylogarithms (uniform gaps only), and
+  sums their fourth-order polylogarithms (uniform gaps only; one stacked
+  eigenvalue call per panel and polarization), and
 * a direct two-dimensional quadrature of ``ln Delta`` over the full
   (angle, frequency) domain, valid for any gaps and any material mix.
 
@@ -92,7 +93,8 @@ class UnitDiskRootError(PolylogPathError):
 
 
 class DeltaDomainError(RuntimeError):
-    """``Delta <= 0`` was encountered: invalid coefficient regime."""
+    """``Delta <= 0`` was encountered: an invalid coefficient regime, or,
+    when ``|Delta|`` is below the smallest normal float, an underflow."""
 
 
 class SweepError(RuntimeError):
@@ -193,26 +195,12 @@ def _coefficient_tables(stack: StackSpec, t: np.ndarray) -> List[Tuple[np.ndarra
     return tables
 
 
-def _opaque_segments(r: Sequence[float], t_coef: Sequence[float]) -> List[Tuple[Sequence, ...]]:
-    """Split the plate list at perfectly opaque plates.
-
-    A plate with exactly zero transmission kills every loop through it, so
-    Delta factorizes into the product over the resulting sub-stacks; the
-    opaque plate terminates both neighbouring segments.  Returns the (r, t)
-    slices of every segment; each has at least two plates.
-    """
-    n = len(r)
-    bounds = sorted({0, n - 1, *(i for i in range(n) if t_coef[i] == 0.0)})
-    return [
-        (r[lo : hi + 1], t_coef[lo : hi + 1]) for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-
-
 def _inverse_roots(m: np.ndarray) -> np.ndarray:
     """Inverse roots ``w = 1/x`` of Delta: the eigenvalues of its round-trip matrix.
 
     ``Delta(x) = det(I - x M) = prod_i (1 - w_i x)`` (see
-    `round_trip_matrix`).  LAPACK returns each non-real eigenvalue of the
+    `round_trip_matrix`); for a ``(k, N-1, N-1)`` stack of them, row ``j``
+    holds those of ``m[j]``.  LAPACK returns each non-real eigenvalue of the
     real ``M`` next to its exact conjugate, as `_li4_root_sum` needs.  The
     eigenvalues are backward stable in the entries of ``M``, each a sum of
     at most two products of two amplitudes; unlike the roots of Delta
@@ -238,28 +226,27 @@ def _li4_root_sum(w: np.ndarray) -> float:
     return total
 
 
-def _polylog_node(tables, j: int, t: float) -> Tuple[float, float]:
-    """Node value ``sum_pol sum_i Li4(w_i)`` and its uncertainty at column ``j``.
+def _polylog_panel(stack: StackSpec, t: np.ndarray) -> np.ndarray:
+    """Node values ``sum_pol sum_i Li4(w_i)`` and their floors at the nodes ``t``.
 
-    ``tables`` are the `_coefficient_tables` of a panel and ``t`` is its
-    ``j``-th node.  The uncertainty is the error bound of `li4`, once per
-    term.  An inverse root outside the unit disk (``li4`` refuses
-    ``|w| > 1 + 1e-12``) raises `UnitDiskRootError` naming the node.
+    Returns shape ``(2, k)``: values, then floors.  One `_inverse_roots`
+    call per polarization serves every node.  An opaque plate makes ``M``
+    block diagonal, with the segments' eigenvalues, so it needs no special
+    case.  The floor is the error bound of `li4`, once per eigenvalue.  An
+    eigenvalue outside the unit disk (``li4`` refuses ``|w| > 1 + 1e-12``)
+    raises `UnitDiskRootError` naming its node.
     """
-    value = 0.0
-    terms = 0
-    for pol, (r, t_coef) in zip(Polarization, tables):
-        for r_seg, t_seg in _opaque_segments(r[:, j].tolist(), t_coef[:, j].tolist()):
-            terms += len(r_seg) - 1
-            if len(r_seg) == 2:
-                # pair: Delta = 1 - r r' x has the single inverse root r r'
-                value += li4(r_seg[0] * r_seg[1])
-                continue
+    values = 0.0
+    for pol, (r, t_coef) in zip(Polarization, _coefficient_tables(stack, t)):
+        sums = []
+        for tj, w in zip(t.tolist(), _inverse_roots(round_trip_matrix(r, t_coef))):
             try:
-                value += _li4_root_sum(_inverse_roots(round_trip_matrix(r_seg, t_seg)))
+                sums.append(_li4_root_sum(w))
             except ValueError as exc:
-                raise UnitDiskRootError(str(exc), t=t, pol=pol) from exc
-    return value, _LI4_ERROR * terms
+                raise UnitDiskRootError(str(exc), t=tj, pol=pol) from exc
+        values = values + np.array(sums)
+    floors = np.full(t.shape, _LI4_ERROR * (2 * (stack.n_plates - 1)))
+    return np.array([values, floors])
 
 
 def energy_ratio_polylog(
@@ -281,10 +268,7 @@ def energy_ratio_polylog(
     g = stack.gaps[0]
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        t = x**3
-        tables = _coefficient_tables(stack, t)
-        nodes = np.array([_polylog_node(tables, j, tj) for j, tj in enumerate(t.tolist())])
-        return 3.0 * x * x * nodes.T  # values and floors, each times dt/dx
+        return 3.0 * x * x * _polylog_panel(stack, x**3)  # values and floors, each times dt/dx
 
     value, bound = _integrate_floor(integrand, 0.0, 1.0, spec)
     scale = _PREFACTOR_POLYLOG / g**3
@@ -318,9 +302,13 @@ def energy_ratio_quadrature(
                 bad = d <= 0.0
                 if bad.any():
                     i, j = np.unravel_index(np.argmax(bad), bad.shape)
+                    value = float(d[i, j])
+                    cause = "invalid coefficient regime"
+                    if abs(value) < np.finfo(float).tiny:
+                        cause = "Delta underflowed below the smallest normal float"
                     raise DeltaDomainError(
-                        f"Delta = {float(d[i, j])!r} at t={float(t[rows[i]])!r}, "
-                        f"s={float(s[i, j])!r}: invalid coefficient regime"
+                        f"Delta = {value!r} at t={float(t[rows[i]])!r}, "
+                        f"s={float(s[i, j])!r}: {cause}"
                     )
                 total = total + np.log(d)
             return total

@@ -218,11 +218,16 @@ def round_trip_matrix(r, t) -> np.ndarray:
     the multiple-scattering form ``det(1 - T G T G)`` of Emig, Graham, Jaffe
     and Kardar (PRL 99, 2007); the eigenvalues of ``M`` are the inverse
     roots of Delta in ``x``.
+
+    Given the ``(N, k)`` tables of k nodes instead, it returns the
+    ``(k, N-1, N-1)`` stack of their matrices, each equal to a single call.
     """
-    r = np.asarray(r, float)
-    t = np.asarray(t, float)
-    inner = t[1:-1]
-    rightward = np.diag(r[:-1]) + np.diag(inner, -1)  # the equations of u_k
-    leftward = np.diag(r[1:]) + np.diag(inner, 1)  # the equations of v_k
-    even = (np.arange(r.size - 1) % 2 == 0)[:, None]
+    r = np.moveaxis(np.asarray(r, float), 0, -1)  # plates on the last axis
+    t = np.moveaxis(np.asarray(t, float), 0, -1)
+    i = np.arange(r.shape[-1] - 1)
+    rightward = np.zeros(r.shape[:-1] + (i.size, i.size))  # the equations of u_k
+    leftward = np.zeros_like(rightward)  # the equations of v_k
+    rightward[..., i, i], rightward[..., i[1:], i[:-1]] = r[..., :-1], t[..., 1:-1]
+    leftward[..., i, i], leftward[..., i[:-1], i[1:]] = r[..., 1:], t[..., 1:-1]
+    even = (i % 2 == 0)[:, None]
     return np.where(even, rightward, leftward) @ np.where(even, leftward, rightward)

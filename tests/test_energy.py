@@ -239,6 +239,23 @@ class TestStructuralInvariants:
         ).ratio
         assert total == pytest.approx(left + right, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            ((GRAPHENE, PE), (PE, GRAPHENE, GRAPHENE)),
+            ((ConstantConductivity(3.0), PM), (PM, ConstantConductivity(3.0))),
+            ((PE, GRAPHENE, PM), (PM, GRAPHENE)),
+        ],
+        ids=["G-PE-G-G", "s3-PM-s3", "PE-G-PM-G"],
+    )
+    def test_polylog_opaque_plate_splits_energy(self, segments):
+        # the whole stack's round-trip matrix is block diagonal at the
+        # opaque plate; its total is the segments' sum within their bounds
+        left, right = (energy_ratio_polylog(uniform_stack(p)) for p in segments)
+        whole = energy_ratio_polylog(uniform_stack(segments[0] + segments[1][1:]))
+        bound = whole.err_estimate + left.err_estimate + right.err_estimate
+        assert abs(whole.ratio - (left.ratio + right.ratio)) <= bound
+
     def test_opaque_additivity_non_uniform_gaps(self):
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
         g1, g2 = 0.9, 1.6
@@ -465,16 +482,20 @@ class TestRootDiagnostics:
     def test_node_floor_is_the_li4_bound_per_term(self):
         import casimir_plates.energy as energy_mod
 
-        # segments (G, PE), one root, and (PE, G, G), two roots, per polarization
+        # the opaque plate needs no split: one 3x3 matrix and 3 eigenvalues
+        # per polarization and node, 2 * 3 Li4 terms
         stack = uniform_stack([GRAPHENE, PE, GRAPHENE, GRAPHENE])
-        tables = energy_mod._coefficient_tables(stack, np.array([0.3]))
-        value, floor = energy_mod._polylog_node(tables, 0, 0.3)
-        assert floor == 6 * 1e-14
-        expected = 0.0
-        for r, t_coef in tables:
-            expected += li4(r[0, 0] * r[1, 0])
-            expected += _li4_root_sum(_inverse_roots(round_trip_matrix(r[1:, 0], t_coef[1:, 0])))
-        assert value == expected
+        t = np.array([0.05, 0.3])
+        values, floors = energy_mod._polylog_panel(stack, t)
+        assert floors.tolist() == [6 * 1e-14] * 2
+        tables = energy_mod._coefficient_tables(stack, t)
+        for j in range(t.size):
+            expected = 0.0
+            for r, t_coef in tables:
+                m = round_trip_matrix(r[:, j], t_coef[:, j])
+                assert m.shape == (3, 3)
+                expected += _li4_root_sum(_inverse_roots(m))
+            assert values[j] == expected
 
     def test_exception_hierarchy(self):
         assert issubclass(UnitDiskRootError, PolylogPathError)
@@ -484,26 +505,35 @@ class TestRootDiagnostics:
         import casimir_plates.energy as energy_mod
 
         real_tables = energy_mod._coefficient_tables
-        seen_t = []
+        real_roots = energy_mod._inverse_roots
+        seen_t, calls = [], []
 
         def coefficient_tables(stack, t):
             seen_t.append(t)
             return real_tables(stack, t)
 
-        def escaping_roots(poly):
-            raise ValueError("inverse root at |w| = 1.5 exceeds its error bar 0.0")
+        def escaping_roots(m):
+            # one call per polarization, TM before TE; the TE stack gets an
+            # eigenvalue at |w| = 1.5 at the panel's fourth node
+            w = real_roots(m).astype(complex)
+            calls.append(w.shape)
+            if len(calls) == 2:
+                w[3, 1] = 1.5
+            return w
 
         monkeypatch.setattr(energy_mod, "_coefficient_tables", coefficient_tables)
         monkeypatch.setattr(energy_mod, "_inverse_roots", escaping_roots)
         with pytest.raises(UnitDiskRootError) as err:
             energy_ratio_polylog(uniform_stack([GRAPHENE] * 3))
-        # the first node of the first panel, TM before TE
-        first = float(seen_t[0][0])
-        assert type(err.value.t) is float and err.value.t == first
-        assert err.value.pol is Polarization.TM
+        assert len(seen_t) == 1 and calls == [(seen_t[0].size, 2)] * 2
+        node = float(seen_t[0][3])
+        assert node != float(seen_t[0][0])
+        assert type(err.value.t) is float and err.value.t == node
+        assert err.value.pol is Polarization.TE
         assert str(err.value) == (
-            f"inverse root at |w| = 1.5 exceeds its error bar 0.0 at t={first!r}, TM"
+            f"li4 argument outside the unit disk: |z| = 1.5 at t={node!r}, TE"
         )
+        assert isinstance(err.value.__cause__, ValueError)
         assert not hasattr(err.value, "roots")
 
     def test_non_uniform_auto_uses_quadrature(self):
@@ -582,8 +612,9 @@ class TestPolylogNode:
         # near grazing angle the inverse roots cluster at the unit circle
         import casimir_plates.energy as energy_mod
 
-        tables = energy_mod._coefficient_tables(uniform_stack(plates), np.array([t]))
-        value, floor = energy_mod._polylog_node(tables, 0, t)
+        stack = uniform_stack(plates)
+        (value,), (floor,) = energy_mod._polylog_panel(stack, np.array([t]))
+        tables = energy_mod._coefficient_tables(stack, np.array([t]))
         reference = sum(mp_node_sum(r[:, 0].tolist(), tc[:, 0].tolist()) for r, tc in tables)
         assert abs(value - reference) <= floor
 
@@ -726,8 +757,29 @@ class TestQuadratureRoute:
         # the first call holds the first panel of all 46 nodes, row i at node i
         assert rows_seen == [46]
         assert "Delta = -0.25" in message
+        assert message.endswith(": invalid coefficient regime")
         assert f"t={float(seen_t[0][1])!r}" in message
         assert f"s={float(bad_s[-1])!r}" in message
+
+    @pytest.mark.parametrize("bad", [0.0, -5e-324])
+    def test_domain_error_names_an_underflow(self, monkeypatch, bad):
+        import casimir_plates.energy as energy_mod
+
+        real_delta = energy_mod.delta_total
+
+        def poisoned_delta(coeffs, geometry, s):
+            d = np.array(real_delta(coeffs, geometry, s))
+            d[1, 7] = bad
+            return d
+
+        monkeypatch.setattr(energy_mod, "delta_total", poisoned_delta)
+        stack = StackSpec((GRAPHENE, GRAPHENE, GRAPHENE), (1.0, 2.0))
+        with pytest.raises(DeltaDomainError) as err:
+            energy_ratio_quadrature(stack, QuadratureSpec(rel_tol=1e-6))
+        message = str(err.value)
+        assert message.startswith(f"Delta = {bad!r} at t=")
+        assert message.endswith(": Delta underflowed below the smallest normal float")
+        assert "coefficient" not in message
 
     # the stacks of the benchmark's unequal-gap workload
     UNEQUAL_GAP_STACKS = (

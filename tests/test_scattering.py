@@ -369,7 +369,7 @@ class TestRoundTripMatrix:
                     assert value == pytest.approx(delta(coeffs, geo, s), rel=1e-12, abs=1e-12)
 
     def test_opaque_plate_decouples_the_segments(self):
-        # t = 0 inside the stack: the matrix is block triangular and its
+        # t = 0 inside the stack: the matrix is block diagonal and its
         # eigenvalues are those of the two segments
         r, t = (0.5, -0.4, 1.0, 0.3, 0.8), (0.5, 0.6, 0.0, 0.7, 0.2)
         whole = np.sort_complex(np.linalg.eigvals(round_trip_matrix(r, t)))
@@ -378,6 +378,28 @@ class TestRoundTripMatrix:
              np.linalg.eigvals(round_trip_matrix(r[2:], t[2:]))]
         )
         assert whole == pytest.approx(np.sort_complex(parts), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "plates",
+        [
+            (ConstantConductivity(0.5), ConstantConductivity(2.0)),
+            (ConstantConductivity(0.5), PerfectMagnetic(), ConstantConductivity(2.0),
+             ConstantConductivity(0.0)),
+            (ConstantConductivity(2.0), Transparent(), ConstantConductivity(0.5),
+             ConstantConductivity(1.0), ConstantConductivity(0.5)),
+        ],
+        ids=["pair", "interior-opaque", "transparent"],
+    )
+    @pytest.mark.parametrize("pol", list(Polarization))
+    def test_node_tables_stack_the_single_matrices(self, plates, pol):
+        # (N, k) tables give the (k, N-1, N-1) stack of the k single-node
+        # matrices, bit for bit (a sigma = 0 plate brings -0.0 amplitudes)
+        t = np.linspace(0.0, 1.0, 7) ** 3
+        r, t_coef = (np.array(c) for c in zip(*(coefficients(p, pol, t) for p in plates)))
+        stacked = round_trip_matrix(r, t_coef)
+        single = np.array([round_trip_matrix(r[:, j], t_coef[:, j]) for j in range(t.size)])
+        assert stacked.shape == (t.size, len(plates) - 1, len(plates) - 1)
+        assert stacked.tobytes() == single.tobytes()
 
 
 class TestValidation:
