@@ -38,6 +38,7 @@ from .scattering import StackGeometry, delta_total, round_trip_matrix
 from .special import (
     QuadratureConvergenceError,
     QuadratureSpec,
+    _cubed,
     _integrate_floor,
     _integrate_2d_bound,
     li4,
@@ -255,21 +256,16 @@ def energy_ratio_polylog(
     """Energy ratio via per-node eigenvalues and polylogarithms.
 
     Requires uniform gaps (all equal); a common gap ``g != 1`` only rescales
-    the ratio by ``1 / g**3``.  The angular integral runs in ``t = x**3``,
-    whose weight ``3 x**2`` spreads the small angles, where the reflections
-    of strong sheets turn on (near ``t = 2 / sigma``), over more of the
-    interval.  The returned error estimate combines the angular quadrature
-    bound with the `li4` error bound of every node.
+    the ratio by ``1 / g**3``.  The angle runs in `_cubed`'s ``t = x**3``.
+    The error estimate combines the angular quadrature bound with the `li4`
+    error bound of every node.
     """
     _require_bound(stack)
     spec = spec or QuadratureSpec()
     if not stack.uniform:
         raise ValueError("the polylog route requires uniform gaps")
     g = stack.gaps[0]
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return 3.0 * x * x * _polylog_panel(stack, x**3)  # values and floors, each times dt/dx
-
+    integrand = _cubed(lambda t: _polylog_panel(stack, t))
     value, bound = _integrate_floor(integrand, 0.0, 1.0, spec)
     scale = _PREFACTOR_POLYLOG / g**3
     ratio = scale * value

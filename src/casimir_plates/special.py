@@ -346,6 +346,16 @@ def _integrate_floor(
     return float(values[0]), float(bounds[0])
 
 
+def _cubed(g: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The angular integrand ``g(t)`` on [0, 1] taken in ``t = x**3``: ``3 x^2 g(x^3)``.
+
+    A sheet's reflections switch on near grazing angle, TM near ``t = sigma / 2``
+    and TE near ``t = 2 / sigma``; the weight spreads those angles over more of
+    [0, 1].  ``g``'s values and floors, stacked on its first axis, both take it.
+    """
+    return lambda x: 3.0 * x * x * g(x**3)
+
+
 def _integrate_2d_bound(
     f: Callable[[np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]],
     spec: QuadratureSpec,
@@ -358,20 +368,20 @@ def _integrate_2d_bound(
     integrand values in the same shape.  ``s^2 F`` must be absolutely
     integrable, which in practice means ``F`` decays exponentially in ``s``.
 
-    The substitution ``u = exp(-s)`` maps the frequency axis onto (0, 1]
-    with integrand ``ln(u)^2 F(rows, -ln u) / u`` and no tail heuristics.
-    The inner integrals of all the panel's nodes run in lockstep through
-    `_integrate_many`.
+    The outer integral runs in `_cubed`'s ``t = x**3``, the inner one in
+    ``u = exp(-s)``, which maps the frequency axis onto (0, 1] with integrand
+    ``ln(u)^2 F(rows, -ln u) / u`` and no tail heuristics.  The inner
+    integrals of all the panel's nodes run in lockstep (`_integrate_many`).
     """
     ispec = QuadratureSpec(spec.rel_tol * 0.1, spec.abs_tol * 0.1, spec.max_subdivisions)
 
-    def inner(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def inner(t: np.ndarray) -> np.ndarray:
         F = f(t)
 
         def h(rows: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             lg = np.log(u)
             return lg * lg * F(rows, -lg) / u, np.zeros(u.shape)
 
-        return _integrate_many(h, t.size, 0.0, 1.0, ispec)
+        return np.array(_integrate_many(h, t.size, 0.0, 1.0, ispec))
 
-    return _integrate_floor(inner, 0.0, 1.0, spec)
+    return _integrate_floor(_cubed(inner), 0.0, 1.0, spec)

@@ -206,7 +206,7 @@ class TestPathAgreement:
             stack = uniform_stack(plates, gap)
             a = energy_ratio_polylog(stack, spec)
             b = energy_ratio_quadrature(stack, spec)
-            assert a.ratio == pytest.approx(b.ratio, abs=1e-6)
+            assert abs(a.ratio - b.ratio) <= a.err_estimate + b.err_estimate
 
 
 class TestStructuralInvariants:
@@ -638,9 +638,12 @@ class TestPolylogReferences:
         ids=["graphene-N6", "graphene-N8", "graphene-N12", "graphene-N16",
              "sigma1-N10", "sigma1-N12", "sigma1-N16"],
     )
-    def test_polylog_meets_tolerance_and_covers_reference(self, plates, reference, unc):
+    @pytest.mark.parametrize(
+        "route", [energy_ratio_polylog, energy_ratio_quadrature], ids=["polylog", "quadrature"]
+    )
+    def test_route_meets_tolerance_and_covers_reference(self, route, plates, reference, unc):
         spec = QuadratureSpec()
-        result = energy_ratio_polylog(uniform_stack(plates), spec)
+        result = route(uniform_stack(plates), spec)
         assert result.err_estimate <= auto_tolerance(spec, result)
         assert abs(result.ratio - reference) <= result.err_estimate + unc
 
@@ -808,7 +811,8 @@ class TestQuadratureRoute:
     @pytest.mark.parametrize("plates, gaps", UNEQUAL_GAP_STACKS)
     def test_lockstep_equals_per_node_integrals(self, plates, gaps):
         # the route one node at a time: each inner integral on its own, with
-        # Delta on the 1-D array of one panel's frequencies
+        # Delta on the 1-D array of one panel's frequencies, and the outer
+        # integral in t = x**3 with its weight 3 x**2
         from casimir_plates.scattering import (
             NodeCoefficients,
             StackGeometry,
@@ -838,7 +842,7 @@ class TestQuadratureRoute:
             return _integrate_floor(h, 0.0, 1.0, inner_spec)
 
         value, bound = _integrate_floor(
-            lambda x: np.array([node(t) for t in x]).T, 0.0, 1.0, spec
+            lambda x: 3.0 * x * x * np.array([node(t) for t in x**3]).T, 0.0, 1.0, spec
         )
         scale = -45.0 / (2.0 * math.pi**4) / g_min**3
         result = energy_ratio_quadrature(stack, spec)
@@ -851,3 +855,24 @@ class TestStrongCouplingBound:
         result = energy_ratio_polylog(stack, QuadratureSpec(1e-4))
         # mpmath value of the pair's 1-D integral over Li4(r r')
         assert abs(result.ratio - 0.99997116889) <= result.err_estimate
+
+    def test_quadrature_bound_has_a_twofold_margin_at_large_sigma(self):
+        # the TE reflection switches on at t = 2 / sigma = 2e-6
+        stack = StackSpec((ConstantConductivity(1e6),) * 2, (1.0,))
+        result = energy_ratio_quadrature(stack, QuadratureSpec(1e-4))
+        assert result.err_estimate >= 2.0 * abs(result.ratio - 0.99997116889)
+
+    # perfbench/references.py's stack_ratio, apart from the package: nested
+    # scipy quadrature of ln Delta, called as
+    # stack_ratio([("sigma", 1e6)] * n, [1.0] * (n - 1), 1e-9);
+    # (plates, ratio, uncertainty)
+    STACK_REFERENCES = [
+        (8, 6.999798612474318, 8.94e-11),
+        (16, 14.999568542679322, 1.69e-10),
+    ]
+
+    @pytest.mark.parametrize("n, reference, unc", STACK_REFERENCES, ids=["N8", "N16"])
+    def test_quadrature_bound_holds_at_large_sigma(self, n, reference, unc):
+        stack = uniform_stack([ConstantConductivity(1e6)] * n)
+        result = energy_ratio_quadrature(stack, QuadratureSpec(1e-5, 1e-7))
+        assert abs(result.ratio - reference) <= result.err_estimate + unc
