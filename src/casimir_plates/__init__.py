@@ -21,114 +21,23 @@ The ``casimir-plates`` console script exposes the same functionality for
 config files and named presets.
 """
 
-from .optics import (
-    ALPHA_FS,
-    SIGMA_GRAPHENE,
-    ConstantConductivity,
-    GenericDeltaPlate,
-    Material,
-    PerfectElectric,
-    PerfectMagnetic,
-    Polarization,
-    SweepSlot,
-    Transparent,
-    coefficients,
-)
-from .scattering import (
-    NodeCoefficients,
-    StackGeometry,
-    delta_compositions,
-    delta_total,
-    round_trip_matrix,
-)
-from .special import (
-    LI4_MINUS_ONE,
-    ZETA4,
-    QuadratureConvergenceError,
-    QuadratureSpec,
-    li4,
-    s_integral,
-)
-from .energy import (
-    C_LIGHT,
-    HBAR,
-    DeltaDomainError,
-    EnergyResult,
-    PolylogPathError,
-    StackSpec,
-    SweepError,
-    SweepPoint,
-    UnitDiskRootError,
-    absolute_energy,
-    energy_ratio,
-    energy_ratio_polylog,
-    energy_ratio_quadrature,
-    ideal_stack_ratio,
-    sweep,
-)
-from .config import (
-    ConfigError,
-    RunConfig,
-    SweepGrid,
-    format_config,
-    parse_config,
-    validate_config,
-)
-from .presets import PRESET_NAMES, list_presets, preset_configs
+from . import config, energy, optics, presets, scattering, special
+from .optics import *
+from .scattering import *
+from .special import *
+from .energy import *
+from .config import *
+from .presets import *
 
 __version__ = "0.1.0"
 
+# each module's `__all__` is the one list of its public names
 __all__ = [
     "__version__",
-    # optics
-    "ALPHA_FS",
-    "SIGMA_GRAPHENE",
-    "ConstantConductivity",
-    "GenericDeltaPlate",
-    "Material",
-    "PerfectElectric",
-    "PerfectMagnetic",
-    "Polarization",
-    "SweepSlot",
-    "Transparent",
-    "coefficients",
-    # scattering
-    "NodeCoefficients",
-    "StackGeometry",
-    "delta_compositions",
-    "delta_total",
-    "round_trip_matrix",
-    # special functions and quadrature
-    "LI4_MINUS_ONE",
-    "ZETA4",
-    "QuadratureConvergenceError",
-    "QuadratureSpec",
-    "li4",
-    "s_integral",
-    # energy
-    "C_LIGHT",
-    "HBAR",
-    "DeltaDomainError",
-    "EnergyResult",
-    "PolylogPathError",
-    "StackSpec",
-    "SweepError",
-    "SweepPoint",
-    "UnitDiskRootError",
-    "absolute_energy",
-    "energy_ratio",
-    "energy_ratio_polylog",
-    "energy_ratio_quadrature",
-    "ideal_stack_ratio",
-    "sweep",
-    # configuration and presets
-    "ConfigError",
-    "RunConfig",
-    "SweepGrid",
-    "format_config",
-    "parse_config",
-    "validate_config",
-    "PRESET_NAMES",
-    "list_presets",
-    "preset_configs",
+    *optics.__all__,
+    *scattering.__all__,
+    *special.__all__,
+    *energy.__all__,
+    *config.__all__,
+    *presets.__all__,
 ]

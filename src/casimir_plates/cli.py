@@ -17,8 +17,9 @@ import dataclasses
 import sys
 from typing import List, Optional, Tuple
 
-from .config import _METHODS, ConfigError, RunConfig, parse_config, validate_config
+from .config import ConfigError, RunConfig, parse_config, validate_config
 from .energy import (
+    _METHODS,
     DeltaDomainError,
     PolylogPathError,
     SweepError,

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .energy import StackSpec
+from .energy import StackSpec, _check_finite, _check_route, _check_sweep
 from .optics import (
     ConstantConductivity,
     GenericDeltaPlate,
@@ -52,9 +52,22 @@ __all__ = [
     "validate_config",
 ]
 
-_METHODS = ("auto", "polylog", "quadrature", "ideal")
 _GRID_KINDS = ("log", "linear")
-_PLAIN_PLATES = {"pe": PerfectElectric, "pm": PerfectMagnetic, "transparent": Transparent}
+
+# Plate keyword -> the class and, in line order, the fields its line gives,
+# each with its name in error messages.  "plate sigma *" is a `SweepSlot`.
+_PLATES = {
+    "sigma": (ConstantConductivity, {"sigma": "conductivity"}),
+    "generic": (
+        GenericDeltaPlate,
+        {"lambda_e": "electric coupling", "lambda_g": "magnetic coupling"},
+    ),
+    "pe": (PerfectElectric, {}),
+    "pm": (PerfectMagnetic, {}),
+    "transparent": (Transparent, {}),
+}
+# What a plate line with that many fields takes.
+_ARITY = ("no parameters", "one value or '*'", "two coupling values")
 
 
 class ConfigError(ValueError):
@@ -71,10 +84,11 @@ class SweepGrid:
     points: int
 
     def values(self) -> Tuple[float, ...]:
+        points = max(self.points, 0)  # empty below one point
         if self.kind == "log":
-            grid = np.geomspace(self.start, self.stop, self.points)
+            grid = np.geomspace(self.start, self.stop, points)
         else:
-            grid = np.linspace(self.start, self.stop, self.points)
+            grid = np.linspace(self.start, self.stop, points)
         return tuple(float(v) for v in grid)
 
 
@@ -116,24 +130,14 @@ def _parse_plate(args, lineno: int) -> Material:
     if not args:
         raise ConfigError(f"line {lineno}: plate needs a kind")
     kind, params = args[0], args[1:]
-    if kind == "sigma":
-        if len(params) != 1:
-            raise ConfigError(f"line {lineno}: plate sigma takes one value or '*'")
-        if params[0] == "*":
-            return SweepSlot()
-        return ConstantConductivity(_parse_float(params[0], lineno, "conductivity"))
-    if kind == "generic":
-        if len(params) != 2:
-            raise ConfigError(f"line {lineno}: plate generic takes two coupling values")
-        return GenericDeltaPlate(
-            _parse_float(params[0], lineno, "electric coupling"),
-            _parse_float(params[1], lineno, "magnetic coupling"),
-        )
-    if kind not in _PLAIN_PLATES:
+    if kind not in _PLATES:
         raise ConfigError(f"line {lineno}: unknown plate kind {kind!r}")
-    if params:
-        raise ConfigError(f"line {lineno}: plate {kind} takes no parameters")
-    return _PLAIN_PLATES[kind]()
+    cls, fields = _PLATES[kind]
+    if cls is ConstantConductivity and params == ["*"]:
+        return SweepSlot()
+    if len(params) != len(fields):
+        raise ConfigError(f"line {lineno}: plate {kind} takes {_ARITY[len(fields)]}")
+    return cls(*(_parse_float(p, lineno, what) for p, what in zip(params, fields.values())))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -157,11 +161,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {lineno}: gaps needs at least one value")
             fields["gaps"] = tuple(_parse_float(a, lineno, "gap") for a in args)
         elif key == "method":
-            if len(args) != 1 or args[0] not in _METHODS:
-                raise ConfigError(
-                    f"line {lineno}: method must be one of {', '.join(_METHODS)}"
-                )
-            fields["method"] = args[0]
+            if len(args) != 1:
+                raise ConfigError(f"line {lineno}: method takes one word")
+            fields["method"] = args[0]  # `validate_config` checks the word
         elif key in ("rel-tol", "abs-tol"):
             if len(args) != 1:
                 raise ConfigError(f"line {lineno}: {key} takes one value")
@@ -198,67 +200,45 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(config: RunConfig) -> None:
-    """Check cross-field consistency; raises `ConfigError`."""
-    # one word each, so that format_config's line parses back to the same value
-    for name, word in (("label", config.label), ("output", config.output)):
-        if word is not None and (word.split() != [word] or "#" in word):
-            raise ConfigError(f"{name} must be one word without '#', got {word!r}")
+    """Check cross-field consistency; raises `ConfigError`.
+
+    Methods and sweeps go through the library's own checks, so a config is
+    refused with the message the same library call would raise.
+    """
     try:
-        spec = config.to_spec()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if config.method not in _METHODS:
-        raise ConfigError(f"method must be one of {', '.join(_METHODS)}")
-    if config.method == "ideal":
-        if not spec.all_ideal:
-            raise ConfigError("method 'ideal' requires perfect-conductor plates only")
-        if not spec.unit_gaps:
-            raise ConfigError("method 'ideal' requires unit gaps")
-    if config.method == "polylog" and not spec.uniform:
-        raise ConfigError("method 'polylog' requires uniform gaps")
-    slots = sum(isinstance(p, SweepSlot) for p in config.plates)
-    if slots and config.sweep_grid is None:
-        raise ConfigError("sweepable plates need a 'sweep' grid")
-    if config.sweep_grid is not None:
-        if not slots:
-            raise ConfigError("a sweep grid needs at least one 'plate sigma *' slot")
-        if slots > 1 and not config.sweep_shared:
-            raise ConfigError(
-                f"{slots} sweep slots need 'sweep-shared' (one common conductivity)"
-            )
+        # one word each, so that format_config's line parses back to the same value
+        for name, word in (("label", config.label), ("output", config.output)):
+            if word is not None and (word.split() != [word] or "#" in word):
+                raise ValueError(f"{name} must be one word without '#', got {word!r}")
+        stack = config.to_spec()
+        _check_route(stack, config.method)
         grid = config.sweep_grid
-        if grid.kind not in _GRID_KINDS:
-            raise ConfigError(
-                f"sweep kind must be one of {', '.join(_GRID_KINDS)}, got {grid.kind!r}"
-            )
-        if not (math.isfinite(grid.start) and math.isfinite(grid.stop)):
-            raise ConfigError("sweep start and stop must be finite")
-        if not isinstance(grid.points, int):
-            raise ConfigError(f"sweep points must be an integer, got {grid.points!r}")
-        if grid.points < 1:
-            raise ConfigError("sweep needs at least one point")
-        if grid.points > 1 and not grid.start < grid.stop:
-            raise ConfigError("sweep start must be below stop")
-        if grid.kind == "log" and not grid.start > 0.0:
-            raise ConfigError("log sweeps need a positive start")
-        if grid.kind == "linear" and grid.start < 0.0:
-            raise ConfigError("conductivities are non-negative")
-    try:
+        if grid is None:
+            if stack.has_sweep_slot:
+                raise ValueError("sweepable plates need a 'sweep' grid")
+        else:
+            # the rules a grid spec adds; `_check_sweep` checks the values it spans
+            if grid.kind not in _GRID_KINDS:
+                raise ValueError(
+                    f"sweep kind must be one of {', '.join(_GRID_KINDS)}, got {grid.kind!r}"
+                )
+            if not isinstance(grid.points, int):
+                raise ValueError(f"sweep points must be an integer, got {grid.points!r}")
+            _check_finite((grid.start, grid.stop))
+            if grid.kind == "log" and not grid.start > 0.0:
+                raise ValueError("log sweeps need a positive start")
+            _check_sweep(stack, config.sweep_shared, grid.values())
         config.quadrature_spec()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _format_plate(plate: Material) -> str:
-    if isinstance(plate, ConstantConductivity):
-        return f"plate sigma {plate.sigma!r}"
     if isinstance(plate, SweepSlot):
         return "plate sigma *"
-    if isinstance(plate, GenericDeltaPlate):
-        return f"plate generic {plate.lambda_e!r} {plate.lambda_g!r}"
-    for kind, cls in _PLAIN_PLATES.items():
+    for kind, (cls, fields) in _PLATES.items():
         if isinstance(plate, cls):
-            return f"plate {kind}"
+            return " ".join(["plate", kind, *(repr(getattr(plate, f)) for f in fields)])
     raise ConfigError(f"cannot format plate {plate!r}")
 
 

@@ -74,6 +74,9 @@ _PREFACTOR_QUAD = -45.0 / (2.0 * math.pi**4)
 # The error bound `li4` states, charged to a node once per Li4 term.
 _LI4_ERROR = 1e-14
 
+# The evaluation routes `energy_ratio` accepts.
+_METHODS = ("auto", "polylog", "quadrature", "ideal")
+
 
 class PolylogPathError(RuntimeError):
     """The semi-analytic route could not certify this node."""
@@ -182,6 +185,52 @@ def _require_bound(stack: StackSpec):
         raise ValueError("stack contains an unbound sweep slot")
 
 
+def _check_route(stack: StackSpec, method: str) -> None:
+    """Reject an unknown method, and a stack its route cannot evaluate.
+
+    ``ideal`` needs perfect conductors at unit gaps, ``polylog`` uniform
+    gaps.  Config validation applies the same rules to its stacks.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {', '.join(_METHODS)}, got {method!r}")
+    if method == "ideal":
+        if not stack.all_ideal:
+            raise ValueError("method 'ideal' requires perfect-conductor plates only")
+        if not stack.unit_gaps:
+            raise ValueError("method 'ideal' requires unit gaps")
+    if method == "polylog" and not stack.uniform:
+        raise ValueError("method 'polylog' requires uniform gaps")
+
+
+def _check_finite(values: Sequence[float]) -> None:
+    """Reject a non-finite conductivity, or a non-finite end of a config's grid."""
+    for sigma in values:
+        if not math.isfinite(sigma):
+            raise ValueError(f"sweep conductivities must be finite, got {sigma!r}")
+
+
+def _check_sweep(template: StackSpec, shared: bool, grid: Sequence[float]) -> None:
+    """Reject a sweep of ``template`` over ``grid`` that `sweep` cannot run.
+
+    Config validation applies the same rules to its sweeps.
+    """
+    slots = sum(isinstance(p, SweepSlot) for p in template.plates)
+    if slots == 0:
+        raise ValueError("a sweep needs a sweep slot ('plate sigma *' in a config)")
+    if slots > 1 and not shared:
+        raise ValueError(
+            f"{slots} sweep slots need one shared conductivity "
+            "(shared=True, or 'sweep-shared' in a config)"
+        )
+    if not grid:
+        raise ValueError("sweep needs at least one point")
+    _check_finite(grid)
+    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+        raise ValueError("sweep conductivities must be strictly increasing")
+    if grid[0] < 0.0:
+        raise ValueError("conductivities are non-negative")
+
+
 def _coefficient_tables(stack: StackSpec, t: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
     """Per polarization, the ``(r, t_coef)`` tables of shape ``(N, k)`` at nodes ``t``.
 
@@ -261,9 +310,8 @@ def energy_ratio_polylog(
     error bound of every node.
     """
     _require_bound(stack)
+    _check_route(stack, "polylog")
     spec = spec or QuadratureSpec()
-    if not stack.uniform:
-        raise ValueError("the polylog route requires uniform gaps")
     g = stack.gaps[0]
     integrand = _cubed(lambda t: _polylog_panel(stack, t))
     value, bound = _integrate_floor(integrand, 0.0, 1.0, spec)
@@ -324,10 +372,7 @@ def ideal_stack_ratio(stack: StackSpec) -> Fraction:
     type contributes 1, each opposite pair contributes -7/8.
     """
     _require_bound(stack)
-    if not stack.all_ideal:
-        raise ValueError("ideal_stack_ratio requires perfect-conductor plates only")
-    if not stack.unit_gaps:
-        raise ValueError("exact rational ratios are defined at unit gaps")
+    _check_route(stack, "ideal")
     total = Fraction(0)
     for left, right in zip(stack.plates[:-1], stack.plates[1:]):
         total += Fraction(1) if type(left) is type(right) else Fraction(-7, 8)
@@ -358,8 +403,7 @@ def energy_ratio(
     if method == "ideal":
         ratio = float(ideal_stack_ratio(stack))
         return EnergyResult(ratio, ratio / stack.n_plates, "ideal", 0.0)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
+    _check_route(stack, method)  # the routes above check their own; here only "auto" passes
     if stack.uniform:
         try:
             result = energy_ratio_polylog(stack, spec)
@@ -395,23 +439,8 @@ def sweep(
     evaluated independently in grid order; a failure at one point is
     reported with its sigma attached.
     """
-    slots = sum(isinstance(p, SweepSlot) for p in stack_template.plates)
-    if slots == 0:
-        raise ValueError("sweep template has no sweep slot")
-    if slots > 1 and not shared:
-        raise ValueError(
-            f"{slots} sweep slots require shared=True (one common conductivity)"
-        )
     grid = [float(s) for s in sigma_grid]
-    if not grid:
-        raise ValueError("sigma grid is empty")
-    for sigma in grid:
-        if not math.isfinite(sigma):
-            raise ValueError(f"conductivities must be finite, got {sigma!r}")
-    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-        raise ValueError("sigma grid must be strictly increasing")
-    if grid[0] < 0.0:
-        raise ValueError("conductivities must be non-negative")
+    _check_sweep(stack_template, shared, grid)
     table = []
     for sigma in grid:
         bound_stack = _bind(stack_template, sigma)

@@ -51,7 +51,7 @@ _PRESETS: Dict[str, Tuple[str, Callable[[], List[RunConfig]]]] = {
     ),
     **{
         f"graphene-stack-{n}": (
-            f"uniform graphene stack, N={n}",
+            f"N={n} graphene sheets at unit gaps",
             lambda n=n: [RunConfig((_GRAPHENE,) * n, label=f"graphene-stack-{n}")],
         )
         for n in range(2, 7)
@@ -69,7 +69,7 @@ _PRESETS: Dict[str, Tuple[str, Callable[[], List[RunConfig]]]] = {
         lambda: [RunConfig((_PM, _GRAPHENE), label="pm-graphene")],
     ),
     "fig2": (
-        "per-plate ratio vs sigma for uniform stacks, N=2..6",
+        "per-plate ratio vs sigma for N identical sheets at unit gaps, N=2..6",
         lambda: [
             RunConfig((SweepSlot(),) * n, label=f"sweep-N{n}", **_CURVE) for n in range(2, 7)
         ],

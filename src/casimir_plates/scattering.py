@@ -32,11 +32,10 @@ from typing import Tuple
 
 import numpy as np
 
+# `compositions` and `Composition` serve only the oracle `delta_compositions`
 __all__ = [
-    "Composition",
     "StackGeometry",
     "NodeCoefficients",
-    "compositions",
     "delta_total",
     "delta_compositions",
     "round_trip_matrix",

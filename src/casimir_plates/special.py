@@ -43,7 +43,6 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureConvergenceError",
     "li4",
-    "s_integral",
 ]
 
 #: Li4(1) = zeta(4) = pi^4 / 90.
@@ -179,6 +178,10 @@ def li4(z):
     so real arguments stay in real arithmetic.  The total error is below
     1e-14 everywhere on the closed disk.
 
+    It gives the energy's frequency integral in closed form: expanding the
+    logarithm and integrating term by term, ``int_0^inf s^2 ln(1 - c e^-s)
+    ds = -2 Li4(c)`` for ``|c| <= 1``.
+
     A real argument returns a float, a complex argument a complex;
     ``li4(conj(z)) == conj(li4(z))`` bit for bit, because the lower half
     plane is evaluated as the conjugate of the upper one.
@@ -206,16 +209,6 @@ def li4(z):
         mu = cmath.log(upper)
         v = _log_series(mu, cmath.log(-mu))
     return v if zc.imag > 0.0 else v.conjugate()
-
-
-def s_integral(c):
-    """Closed form of ``int_0^inf s^2 ln(1 - c e^-s) ds`` for ``|c| <= 1``.
-
-    Expanding the logarithm and integrating term by term gives exactly
-    ``-2 Li4(c)``.
-    """
-    v = li4(c)
-    return -2.0 * v
 
 
 # ---------------------------------------------------------------------------

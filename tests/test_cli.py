@@ -14,7 +14,7 @@ from casimir_plates.config import (
     parse_config,
     validate_config,
 )
-from casimir_plates.energy import DeltaDomainError
+from casimir_plates.energy import DeltaDomainError, StackSpec, energy_ratio, sweep
 from casimir_plates.optics import (
     ConstantConductivity,
     GenericDeltaPlate,
@@ -29,6 +29,25 @@ from casimir_plates.presets import PRESET_NAMES, list_presets, preset_configs
 # config prefixes: a plain two-plate stack, and one with a sweep slot
 TWO = "plate pe\nplate pe\n"
 SLOT = "plate sigma *\nplate pe\n"
+
+
+# One fault of each route rule and each sweep rule, as a library call and as
+# the equivalent config, which must be refused with the same message.
+G, PE, SLOT_PLATE = ConstantConductivity(0.5), PerfectElectric(), SweepSlot()
+ROUTE_FAULTS = {
+    "unknown-method": ((PE, PerfectMagnetic()), (1.0,), "fft"),
+    "ideal-on-graphene": ((G, G), (1.0,), "ideal"),
+    "ideal-at-gap-2": ((PE, PE), (2.0,), "ideal"),
+    "polylog-at-gaps-1-2": ((G, G, G), (1.0, 2.0), "polylog"),
+}
+SWEEP_FAULTS = {  # template plates, library grid, config grid
+    "no-slot": ((G, PE), [1.0], SweepGrid("log", 1.0, 1.0, 1)),
+    "two-unshared-slots": ((SLOT_PLATE, SLOT_PLATE), [1.0], SweepGrid("log", 1.0, 1.0, 1)),
+    "empty-grid": ((SLOT_PLATE, PE), [], SweepGrid("log", 1.0, 10.0, 0)),
+    "decreasing-grid": ((SLOT_PLATE, PE), [10.0, 1.0], SweepGrid("linear", 10.0, 1.0, 2)),
+    "negative-grid": ((SLOT_PLATE, PE), [-1.0, 2.0], SweepGrid("linear", -1.0, 2.0, 2)),
+    "nan-grid": ((SLOT_PLATE, PE), [math.nan], SweepGrid("linear", math.nan, math.nan, 1)),
+}
 
 
 def read_rows(path):
@@ -132,6 +151,22 @@ class TestConfigGrammar:
         config = RunConfig(plates=(PerfectElectric(), PerfectMagnetic()), method="fft")
         with pytest.raises(ConfigError, match="^method must be one of auto, polylog"):
             validate_config(config)
+
+    @pytest.mark.parametrize("plates, gaps, method", ROUTE_FAULTS.values(), ids=ROUTE_FAULTS)
+    def test_route_fault_has_the_library_message(self, plates, gaps, method):
+        with pytest.raises(ValueError) as library:
+            energy_ratio(StackSpec(plates, gaps), method=method)
+        with pytest.raises(ConfigError) as config:
+            validate_config(RunConfig(plates, gaps, method=method))
+        assert str(config.value) == str(library.value)
+
+    @pytest.mark.parametrize("plates, values, grid", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
+    def test_sweep_fault_has_the_library_message(self, plates, values, grid):
+        with pytest.raises(ValueError) as library:
+            sweep(StackSpec(plates, (1.0,)), values)
+        with pytest.raises(ConfigError) as config:
+            validate_config(RunConfig(plates, sweep_grid=grid))
+        assert str(config.value) == str(library.value)
 
     def test_format_rejects_unsupported_plate(self):
         class Mirror:

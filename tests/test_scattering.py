@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casimir_plates
-from casimir_plates import scattering
+from casimir_plates import config, energy, optics, presets, scattering, special
 from casimir_plates.optics import (
     ConstantConductivity,
     PerfectMagnetic,
@@ -407,6 +407,26 @@ class TestValidation:
     def test_public_names_resolve(self, module):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == []
+
+    def test_public_surface_is_the_modules_lists(self):
+        names = casimir_plates.__all__
+        modules = (optics, scattering, special, energy, config, presets)
+        assert len(set(names)) == len(names)
+        assert names == ["__version__"] + [n for m in modules for n in m.__all__]
+        assert sorted(names) == [
+            "ALPHA_FS", "C_LIGHT", "ConfigError", "ConstantConductivity",
+            "DeltaDomainError", "EnergyResult", "GenericDeltaPlate", "HBAR",
+            "LI4_MINUS_ONE", "Material", "NodeCoefficients", "PRESET_NAMES",
+            "PerfectElectric", "PerfectMagnetic", "Polarization", "PolylogPathError",
+            "QuadratureConvergenceError", "QuadratureSpec", "RunConfig",
+            "SIGMA_GRAPHENE", "StackGeometry", "StackSpec", "SweepError", "SweepGrid",
+            "SweepPoint", "SweepSlot", "Transparent", "UnitDiskRootError", "ZETA4",
+            "__version__", "absolute_energy", "coefficients", "delta_compositions",
+            "delta_total", "energy_ratio", "energy_ratio_polylog",
+            "energy_ratio_quadrature", "format_config", "ideal_stack_ratio", "li4",
+            "list_presets", "parse_config", "preset_configs", "round_trip_matrix",
+            "sweep", "validate_config",
+        ]
 
     def test_geometry_positive_gaps(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from casimir_plates.special import (
     _integrate_many,
     _rules,
     li4,
-    s_integral,
 )
 
 mpmath.mp.dps = 30
@@ -148,14 +147,13 @@ class TestLi4Coverage:
 
 
 class TestSIntegral:
+    """``int_0^inf s^2 ln(1 - c e^-s) ds = -2 Li4(c)``, as `li4` states."""
+
     def test_zero(self):
-        assert s_integral(0.0) == 0.0
+        assert -2.0 * li4(0.0) == 0.0
 
     def test_unit_argument(self):
-        assert s_integral(1.0) == pytest.approx(-math.pi**4 / 45.0, rel=1e-14)
-
-    def test_half_argument(self):
-        assert s_integral(0.5) == -2.0 * li4(0.5)
+        assert -2.0 * li4(1.0) == pytest.approx(-math.pi**4 / 45.0, rel=1e-14)
 
     def test_against_direct_quadrature_50_args(self):
         rng = np.random.default_rng(20250825)
@@ -166,13 +164,13 @@ class TestSIntegral:
                 return s * s * math.log(1.0 - c * math.exp(-s))
 
             direct, est = sp_integrate.quad(integrand, 0.0, 60.0, epsabs=1e-12, limit=200)
-            assert s_integral(c) == pytest.approx(direct, abs=max(1e-9, 10 * est))
+            assert -2.0 * li4(c) == pytest.approx(direct, abs=max(1e-9, 10 * est))
 
     def test_unit_argument_against_direct_quadrature(self):
         direct, _ = sp_integrate.quad(
             lambda s: s * s * math.log(1.0 - math.exp(-s)), 0.0, 60.0, epsabs=1e-12, limit=200
         )
-        assert s_integral(1.0) == pytest.approx(direct, abs=1e-9)
+        assert -2.0 * li4(1.0) == pytest.approx(direct, abs=1e-9)
 
 
 class TestIntegrateT:
