@@ -38,7 +38,6 @@ from .scattering import StackGeometry, delta_total, round_trip_matrix
 from .special import (
     QuadratureConvergenceError,
     QuadratureSpec,
-    _cubed,
     _integrate_floor,
     _integrate_2d_bound,
     li4,
@@ -305,16 +304,15 @@ def energy_ratio_polylog(
     """Energy ratio via per-node eigenvalues and polylogarithms.
 
     Requires uniform gaps (all equal); a common gap ``g != 1`` only rescales
-    the ratio by ``1 / g**3``.  The angle runs in `_cubed`'s ``t = x**3``.
-    The error estimate combines the angular quadrature bound with the `li4`
-    error bound of every node.
+    the ratio by ``1 / g**3``.  The angle runs in `_integrate_floor`'s
+    ``t = x**3``.  The error estimate combines the angular quadrature bound
+    with the `li4` error bound of every node.
     """
     _require_bound(stack)
     _check_route(stack, "polylog")
     spec = spec or QuadratureSpec()
     g = stack.gaps[0]
-    integrand = _cubed(lambda t: _polylog_panel(stack, t))
-    value, bound = _integrate_floor(integrand, 0.0, 1.0, spec)
+    value, bound = _integrate_floor(lambda t: _polylog_panel(stack, t), spec)
     scale = _PREFACTOR_POLYLOG / g**3
     ratio = scale * value
     return EnergyResult(ratio, ratio / stack.n_plates, "polylog", abs(scale) * bound)
@@ -435,12 +433,15 @@ def sweep(
     """Evaluate the template once per conductivity in ``sigma_grid``.
 
     The template must contain exactly one sweep slot, or any number of
-    slots with ``shared=True`` (all bound to the same value).  Points are
+    slots with ``shared=True`` (all bound to the same value).  The grid,
+    and the method against the template as `energy_ratio` checks it, are
+    refused with ``ValueError`` before any point runs.  Points are
     evaluated independently in grid order; a failure at one point is
     reported with its sigma attached.
     """
     grid = [float(s) for s in sigma_grid]
     _check_sweep(stack_template, shared, grid)
+    _check_route(stack_template, method)
     table = []
     for sigma in grid:
         bound_stack = _bind(stack_template, sigma)

@@ -106,16 +106,9 @@ def compositions(n: int) -> Tuple[Composition, ...]:
     """
     if not 1 <= n <= _MAX_COMPOSITION_N:
         raise ValueError(f"n must be in [1, {_MAX_COMPOSITION_N}], got {n}")
-    return _compositions(n)
-
-
-@lru_cache(maxsize=None)
-def _compositions(n: int) -> Tuple[Composition, ...]:
-    if n == 0:
-        return ((),)
     return tuple(
-        (first, *rest) for first in range(1, n + 1) for rest in _compositions(n - first)
-    )
+        (first, *rest) for first in range(1, n) for rest in compositions(n - first)
+    ) + ((n,),)
 
 
 def _check_sizes(n_plates: int, geometry: StackGeometry) -> None:

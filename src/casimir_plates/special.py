@@ -16,21 +16,21 @@ with ``|mu| / 2 pi <= 0.513`` there; truncated after ``mu^45``, its tail is
 below 4e-18.
 
 The integrators use open rules only (no endpoint evaluations), subdivide
-worst-panel-first with deterministic tie-breaking, and sum results in a
+worst-panel-first, the oldest of equal panels first, and sum results in a
 fixed order, so a given tolerance specification always reproduces the same
 bits.  Internally one driver, `_integrate_many`, advances many independent
-integrals in lockstep: its integrand ``g(rows, x)`` gets a ``(k, 46)``
-array whose row ``i`` holds the 15 + 31 nodes of one panel of integral
-``rows[i]``, and returns arrays of values and noise floors of that shape.
-Each round evaluates the new panels of every unfinished integral in one
-such call.  The 2-D quadrature runs the inner integrals of all nodes of an
-outer panel this way.
+integrals over [0, 1] in lockstep: its integrand ``g(rows, x)`` gets a
+``(k, 46)`` array whose row ``i`` holds the 15 + 31 nodes of one panel of
+integral ``rows[i]``, and returns arrays of values and noise floors of that
+shape.  Each round evaluates the new panels of every unfinished integral in
+one such call.  Both energy routes take their angular integral through
+`_integrate_floor`, in ``t = x**3``; the 2-D quadrature runs the inner
+integrals of all nodes of an outer panel in lockstep.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -246,24 +246,23 @@ def _rules(g, rows, a: np.ndarray, b: np.ndarray):
 def _integrate_many(
     g: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
     m: int,
-    a: float,
-    b: float,
     spec: QuadratureSpec,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Adaptive driver for ``m`` integrals over ``[a, b]`` advanced in lockstep.
+    """Adaptive driver for ``m`` integrals over [0, 1] advanced in lockstep.
 
     Returns two arrays of length ``m``: the integrals and their total error
     bounds.  ``g(rows, x)`` evaluates integral ``rows[i]`` on row ``i`` of
     ``x`` (shape ``(k, 46)``) as `_rules` describes.
 
     Each integral splits whichever of its panels carries the largest
-    reducible error until its summed error estimate drops below tolerance.
-    A panel whose estimate sinks below the integrated noise floor of its own
-    integrand values is never split further, which prevents endless
-    subdivision of integrands that are only known to limited accuracy.
-    Every round, each unfinished integral takes one such step, and all the
-    new half-panels are evaluated in one call of ``g``; the integrals share
-    nothing else, so each returns the bits it would return alone.
+    reducible error, the oldest of equal ones, until its summed error
+    estimate drops below tolerance.  A panel whose estimate sinks below the
+    integrated noise floor of its own integrand values is never split
+    further, which prevents endless subdivision of integrands that are only
+    known to limited accuracy.  Every round, each unfinished integral takes
+    one such step, and all the new half-panels are evaluated in one call of
+    ``g``; the integrals share nothing else, so each returns the bits it
+    would return alone.
 
     Raises
     ------
@@ -271,32 +270,32 @@ def _integrate_many(
         For the lowest-numbered integral that exhausts its subdivision
         budget, with that integral's estimate and bound.
     """
-    panels = [{} for _ in range(m)]
-    heaps = [[] for _ in range(m)]
+    panels = [[] for _ in range(m)]  # per integral, its panels oldest first
     totals = [0.0] * m
     bounds = [0.0] * m
     active = list(range(m))
-    todo = [(i, a, b, 0) for i in active]  # (integral, panel ends, panel key)
+    todo = [(i, 0.0, 1.0) for i in active]  # (integral, panel ends)
     splits = 0  # every unfinished integral has split this many panels
     while todo:
-        rows, lows, highs, _ = (np.array(c) for c in zip(*todo))
-        for (i, pa, pb, key), pi, pe, pf in zip(todo, *_rules(g, rows, lows, highs)):
-            panels[i][key] = (pa, pb, pi, pe, pf)
-            if pe > pf:
-                heapq.heappush(heaps[i], (-pe, key))
+        rows, lows, highs = (np.array(c) for c in zip(*todo))
+        for (i, pa, pb), pi, pe, pf in zip(todo, *_rules(g, rows, lows, highs)):
+            panels[i].append((pa, pb, pi, pe, pf))
         todo = []
         going = []
         for i in active:
             value = error = floor = 0.0
-            for _, _, pi, pe, pf in panels[i].values():
+            # the panel to split; it stays -1 if every panel is at its noise floor
+            worst, worst_error = -1, -1.0  # errors are never negative
+            for j, (_, _, pi, pe, pf) in enumerate(panels[i]):
                 value += pi
                 error += pe
                 floor += pf
+                if pe > pf and pe > worst_error:
+                    worst, worst_error = j, pe
             tol_total = max(spec.abs_tol, spec.rel_tol * abs(value))
-            # an empty heap: every panel is at its own noise floor
-            if error <= tol_total + floor or not heaps[i]:
+            if error <= tol_total + floor or worst < 0:
                 total = bound = 0.0
-                for _, _, pi, pe, pf in sorted(panels[i].values()):
+                for _, _, pi, pe, pf in sorted(panels[i]):
                     total += pi
                     bound += pe + pf
                 totals[i], bounds[i] = total, bound
@@ -309,10 +308,9 @@ def _integrate_many(
                     float(value),
                     float(error + floor),
                 )
-            _, key = heapq.heappop(heaps[i])
-            pa, pb = panels[i].pop(key)[:2]
+            pa, pb = panels[i].pop(worst)[:2]
             pm = 0.5 * (pa + pb)
-            todo += ((i, pa, pm, 2 * splits + 1), (i, pm, pb, 2 * splits + 2))
+            todo += ((i, pa, pm), (i, pm, pb))
             going.append(i)
         active = going
         splits += 1
@@ -320,33 +318,24 @@ def _integrate_many(
 
 
 def _integrate_floor(
-    g: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
-    a: float,
-    b: float,
-    spec: QuadratureSpec,
+    g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec
 ) -> Tuple[float, float]:
-    """One adaptive integral; returns (integral, total error bound).
+    """``int_0^1 g(t) dt`` and its total error bound, taken in ``t = x**3``.
 
-    `_integrate_many` with ``m = 1``.  ``g(x)`` takes the 46 nodes of one
-    panel and returns their values and noise floors: one call per panel.
+    `_integrate_many` with ``m = 1`` on the integrand ``3 x^2 g(x^3)``.
+    ``g(t)`` takes the 46 nodes ``t`` of one panel (one call per panel) and
+    returns their values and noise floors stacked on its first axis; both
+    take the weight.  A sheet's reflections switch on near grazing angle,
+    TM near ``t = sigma / 2`` and TE near ``t = 2 / sigma``; the weight
+    spreads those angles over more of [0, 1].
     """
 
     def one_per_panel(rows, x):
-        pairs = [g(xi) for xi in x]
+        pairs = [3.0 * xi * xi * g(xi**3) for xi in x]
         return np.array([v for v, _ in pairs]), np.array([fl for _, fl in pairs])
 
-    values, bounds = _integrate_many(one_per_panel, 1, a, b, spec)
+    values, bounds = _integrate_many(one_per_panel, 1, spec)
     return float(values[0]), float(bounds[0])
-
-
-def _cubed(g: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """The angular integrand ``g(t)`` on [0, 1] taken in ``t = x**3``: ``3 x^2 g(x^3)``.
-
-    A sheet's reflections switch on near grazing angle, TM near ``t = sigma / 2``
-    and TE near ``t = 2 / sigma``; the weight spreads those angles over more of
-    [0, 1].  ``g``'s values and floors, stacked on its first axis, both take it.
-    """
-    return lambda x: 3.0 * x * x * g(x**3)
 
 
 def _integrate_2d_bound(
@@ -361,10 +350,11 @@ def _integrate_2d_bound(
     integrand values in the same shape.  ``s^2 F`` must be absolutely
     integrable, which in practice means ``F`` decays exponentially in ``s``.
 
-    The outer integral runs in `_cubed`'s ``t = x**3``, the inner one in
-    ``u = exp(-s)``, which maps the frequency axis onto (0, 1] with integrand
-    ``ln(u)^2 F(rows, -ln u) / u`` and no tail heuristics.  The inner
-    integrals of all the panel's nodes run in lockstep (`_integrate_many`).
+    The outer integral runs in `_integrate_floor`'s ``t = x**3``, the inner
+    one in ``u = exp(-s)``, which maps the frequency axis onto (0, 1] with
+    integrand ``ln(u)^2 F(rows, -ln u) / u`` and no tail heuristics.  The
+    inner integrals of all the panel's nodes run in lockstep
+    (`_integrate_many`).
     """
     ispec = QuadratureSpec(spec.rel_tol * 0.1, spec.abs_tol * 0.1, spec.max_subdivisions)
 
@@ -375,6 +365,6 @@ def _integrate_2d_bound(
             lg = np.log(u)
             return lg * lg * F(rows, -lg) / u, np.zeros(u.shape)
 
-        return np.array(_integrate_many(h, t.size, 0.0, 1.0, ispec))
+        return np.array(_integrate_many(h, t.size, ispec))
 
-    return _integrate_floor(_cubed(inner), 0.0, 1.0, spec)
+    return _integrate_floor(inner, spec)

@@ -41,7 +41,7 @@ from casimir_plates.optics import (
     coefficients,
 )
 from casimir_plates.scattering import round_trip_matrix
-from casimir_plates.special import QuadratureSpec, _integrate_floor, li4
+from casimir_plates.special import QuadratureSpec, _integrate_many, li4
 
 GRAPHENE = ConstantConductivity(SIGMA_GRAPHENE)
 PE = PerfectElectric()
@@ -57,10 +57,22 @@ GRAPHENE_RATIOS = {
 }
 
 
+def integrate_1d(g, spec):
+    """``int_0^1 g(x) dx`` and its bound on the plain driver (no change of
+    variable); ``g`` takes one panel's nodes and returns values and floors."""
+
+    def one_per_panel(rows, x):
+        pairs = [g(xi) for xi in x]
+        return np.array([v for v, _ in pairs]), np.array([fl for _, fl in pairs])
+
+    values, bounds = _integrate_many(one_per_panel, 1, spec)
+    return float(values[0]), float(bounds[0])
+
+
 def integrate_t(f):
     """``int_0^1 f(t) dt`` of a scalar callable, one call per node."""
     g = lambda x: (np.array([f(t) for t in x]), np.zeros(x.shape))
-    return _integrate_floor(g, 0.0, 1.0, QuadratureSpec())[0]
+    return integrate_1d(g, QuadratureSpec())[0]
 
 
 def uniform_stack(plates, gap=1.0):
@@ -351,6 +363,36 @@ class TestSweep:
         template = uniform_stack([SweepSlot(), GRAPHENE])
         with pytest.raises(ValueError, match=repr(grid[-1])):
             energy_mod.sweep(template, grid)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "template, method, message",
+        [
+            (uniform_stack([SweepSlot(), GRAPHENE]), "exact", "method must be one of"),
+            (
+                StackSpec((SweepSlot(), GRAPHENE, GRAPHENE), (1.0, 2.0)),
+                "polylog",
+                "method 'polylog' requires uniform gaps",
+            ),
+            (
+                uniform_stack([SweepSlot(), PE]),
+                "ideal",
+                "method 'ideal' requires perfect-conductor plates only",
+            ),
+        ],
+    )
+    def test_route_misuse_rejected_before_any_solve(self, monkeypatch, template, method, message):
+        # the ValueError energy_ratio raises, not a SweepError at the first point
+        import casimir_plates.energy as energy_mod
+
+        plates = tuple(GRAPHENE if isinstance(p, SweepSlot) else p for p in template.plates)
+        with pytest.raises(ValueError, match=message) as direct:
+            energy_ratio(StackSpec(plates, template.gaps), method=method)
+        calls = []
+        monkeypatch.setattr(energy_mod, "energy_ratio", lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as err:
+            energy_mod.sweep(template, [0.1, 1.0], method=method)
+        assert str(err.value) == str(direct.value)
         assert calls == []
 
     def test_failure_identifies_sigma(self, monkeypatch):
@@ -818,7 +860,6 @@ class TestQuadratureRoute:
             StackGeometry,
             delta_total,
         )
-        from casimir_plates.special import _integrate_floor
 
         stack = StackSpec(plates, gaps)
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
@@ -839,10 +880,10 @@ class TestQuadratureRoute:
                     total = total + np.log(delta_total(coeffs, geometry, -lg))
                 return lg * lg * total / u, np.zeros(u.shape)
 
-            return _integrate_floor(h, 0.0, 1.0, inner_spec)
+            return integrate_1d(h, inner_spec)
 
-        value, bound = _integrate_floor(
-            lambda x: 3.0 * x * x * np.array([node(t) for t in x**3]).T, 0.0, 1.0, spec
+        value, bound = integrate_1d(
+            lambda x: 3.0 * x * x * np.array([node(t) for t in x**3]).T, spec
         )
         scale = -45.0 / (2.0 * math.pi**4) / g_min**3
         result = energy_ratio_quadrature(stack, spec)

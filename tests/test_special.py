@@ -28,9 +28,10 @@ mpmath.mp.dps = 30
 
 
 def integrate_t(f, spec=None):
-    """``int_0^1 f(t) dt`` of a scalar callable, one call per node."""
+    """``int_0^1 f(t) dt`` of a scalar callable, one call per node, on the
+    plain driver (no change of variable)."""
     g = lambda x: (np.array([f(t) for t in x]), np.zeros(x.shape))
-    return _integrate_floor(g, 0.0, 1.0, spec or QuadratureSpec())[0]
+    return float(_integrate_many(_batch((g,)), 1, spec or QuadratureSpec())[0][0])
 
 
 def mp_li4(z):
@@ -209,7 +210,7 @@ class TestIntegrateT:
             sizes.append(x.shape)
             return np.exp(x), np.zeros(x.shape)
 
-        _integrate_floor(g, 0.0, 1.0, QuadratureSpec())
+        _integrate_floor(g, QuadratureSpec())
         assert sizes and set(sizes) == {(46,)}
 
     def test_panel_sums_node_by_node(self):
@@ -278,7 +279,7 @@ def _batch(family, calls=None):
     return g
 
 
-def _sequential_integral(f, a, b, spec):
+def _sequential_integral(f, spec):
     """One integral by a plain loop: per panel the 46 nodes, each rule summed
     node by node, worst panel split first, ties to the older panel."""
     lo_x, lo_w = np.polynomial.legendre.leggauss(15)
@@ -295,7 +296,7 @@ def _sequential_integral(f, a, b, spec):
             fl += wi * fe
         return half * hi, abs(half * (hi - lo)), half * fl
 
-    panels = {0: (a, b, *panel(a, b))}
+    panels = {0: (0.0, 1.0, *panel(0.0, 1.0))}
     made = 1
     while True:
         value = error = floor = 0.0
@@ -332,31 +333,31 @@ class TestIntegrateMany:
     def test_equals_a_plain_sequential_loop(self):
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
         m = len(self.FAMILY)
-        values, bounds = _integrate_many(_batch(self.FAMILY), m, 0.0, 1.0, spec)
+        values, bounds = _integrate_many(_batch(self.FAMILY), m, spec)
         expected, calls = [], []
         for f in self.FAMILY:
             n = []
             counted = lambda x, f=f: n.append(1) or f(x)
-            expected.append(_sequential_integral(counted, 0.0, 1.0, spec))
+            expected.append(_sequential_integral(counted, spec))
             calls.append(len(n))
         assert len(set(calls)) >= 4  # the integrals finish in different rounds
         assert list(zip(values.tolist(), bounds.tolist())) == expected
 
     def test_noise_floor_integral_stops_short_of_tolerance(self):
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
-        value, bound = _integrate_many(_batch(self.FAMILY[2:3]), 1, 0.0, 1.0, spec)
+        value, bound = _integrate_many(_batch(self.FAMILY[2:3]), 1, spec)
         assert bound[0] > spec.rel_tol
         assert abs(value[0] - 2.0 / 3.0) <= bound[0]
 
     def test_one_call_per_round(self):
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
         shapes = []
-        _integrate_many(_batch(self.FAMILY, shapes), len(self.FAMILY), 0.0, 1.0, spec)
+        _integrate_many(_batch(self.FAMILY, shapes), len(self.FAMILY), spec)
         assert shapes[0] == (len(self.FAMILY), 46)
         assert all(k % 2 == 0 and k <= 2 * len(self.FAMILY) and n == 46 for k, n in shapes[1:])
         # one call per round: as many rounds as the slowest integral needs
         slowest = []
-        _integrate_floor(lambda x: slowest.append(1) or self.FAMILY[3](x), 0.0, 1.0, spec)
+        _integrate_many(_batch((lambda x: slowest.append(1) or self.FAMILY[3](x),)), 1, spec)
         assert len(shapes) == (len(slowest) + 1) // 2
 
     def test_budget_error_matches_sequential_run(self):
@@ -367,22 +368,96 @@ class TestIntegrateMany:
             _peak(1e-4, 0.37),
             _peak(1e-6, 0.61),
         )
-        _integrate_floor(family[0], 0.0, 1.0, spec)
-        _integrate_floor(family[1], 0.0, 1.0, spec)
+        _integrate_many(_batch(family[0:1]), 1, spec)
+        _integrate_many(_batch(family[1:2]), 1, spec)
         errors = []
         for f in family[2:]:
             with pytest.raises(QuadratureConvergenceError) as err:
-                _integrate_floor(f, 0.0, 1.0, spec)
+                _integrate_many(_batch((f,)), 1, spec)
             errors.append(err.value)
         assert errors[0].estimate != errors[1].estimate
         with pytest.raises(QuadratureConvergenceError) as err:
-            _integrate_many(_batch(family), len(family), 0.0, 1.0, spec)
+            _integrate_many(_batch(family), len(family), spec)
         expected = errors[0]  # integral #2, the lowest-numbered one to fail
         assert str(err.value) == str(expected)
         assert (err.value.estimate, err.value.error_bound) == (
             expected.estimate,
             expected.error_bound,
         )
+
+
+    # panel error estimates by midpoint, in units of the 15-point rule's
+    # weight sum: [0, 1/2] splits first, then its left half [0, 1/4] ties
+    # the older [1/2, 1]; deeper panels are exact
+    TIE_LEVELS = {0.5: 1.0, 0.25: 2.0, 0.75: 1.0, 0.125: 2.0, 0.375: 1.0, 0.625: 1.0, 0.875: 1.0}
+
+    def _tied(self, mids):
+        def f(x):
+            mids.append(float(x[30]))  # the 31-point rule's middle node: the midpoint
+            values = np.zeros(46)
+            values[:15] = self.TIE_LEVELS.get(mids[-1], 0.0)  # only the 15-point rule sees it
+            return values, np.zeros(46)
+
+        return f
+
+    def test_exact_tie_splits_the_older_panel(self):
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+        mids, reference_mids = [], []
+        result = _integrate_many(_batch((self._tied(mids),)), 1, spec)
+        expected = _sequential_integral(self._tied(reference_mids), spec)
+        assert (float(result[0][0]), float(result[1][0])) == expected
+        # [1/2, 1] before [0, 1/4]; leftmost-first or newest-first would swap them
+        assert mids == reference_mids == [
+            0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875,
+            0.0625, 0.1875, 0.3125, 0.4375, 0.5625, 0.6875, 0.8125, 0.9375,
+        ]
+
+    def test_budget_error_after_a_tie_depends_on_the_order(self):
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=3)
+        mids = []
+        with pytest.raises(QuadratureConvergenceError) as err:
+            _integrate_many(_batch((self._tied(mids),)), 1, spec)
+        assert mids == [0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875]
+        # live panels [0, 1/4], [1/4, 1/2], [1/2, 3/4], [3/4, 1], summed oldest
+        # first; splitting [0, 1/4] at the tie would leave 0.25 + 0.125 units
+        unit = np.add.accumulate(np.polynomial.legendre.leggauss(15)[1])[-1]
+        bound = 0.0
+        for level in (0.25, 0.125, 0.125, 0.125):
+            bound += level * unit
+        assert (err.value.estimate, err.value.error_bound) == (0.0, bound)
+
+
+class TestAngularIntegral:
+    """`_integrate_floor`: ``int_0^1 g(t) dt`` taken in ``t = x**3``."""
+
+    @pytest.mark.parametrize(
+        "g, exact",
+        [
+            (np.exp, math.e - 1.0),
+            (lambda t: np.log(t) ** 2, 2.0),
+            (lambda t: 1.0 / np.sqrt(t), 2.0),
+        ],
+    )
+    def test_closed_form_one_call_per_panel(self, g, exact):
+        calls = []
+
+        def node(t):
+            calls.append(t)
+            return np.array([g(t), np.zeros(t.shape)])
+
+        spec = QuadratureSpec()
+        value, bound = _integrate_floor(node, spec)
+        assert value == pytest.approx(exact, rel=spec.rel_tol)
+        assert abs(value - exact) <= bound
+        assert all(t.shape == (46,) and 0.0 < t.min() and t.max() < 1.0 for t in calls)
+        lo_x, hi_x = (np.polynomial.legendre.leggauss(n)[0] for n in (15, 31))
+        assert calls[0].tolist() == ((0.5 + 0.5 * np.concatenate((lo_x, hi_x))) ** 3).tolist()
+        # the plain driver on the weighted integrand ``3 x^2 g(x^3)``, one call per panel
+        panels = len(calls)
+        weighted = _batch((lambda x: 3.0 * x * x * node(x**3),))
+        values, bounds = _integrate_many(weighted, 1, spec)
+        assert len(calls) == 2 * panels
+        assert (value, bound) == (float(values[0]), float(bounds[0]))
 
 
 def _kernel(f):
