@@ -36,11 +36,12 @@ from .optics import (
 )
 from .scattering import StackGeometry, delta_total, round_trip_matrix
 from .special import (
+    _OVERSHOOT,
     QuadratureConvergenceError,
     QuadratureSpec,
     _integrate_floor,
     _integrate_2d_bound,
-    li4,
+    _li4_array,
 )
 
 __all__ = [
@@ -259,41 +260,42 @@ def _inverse_roots(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def _li4_root_sum(w: np.ndarray) -> float:
-    """Sum of Li4 over the eigenvalues of a real matrix.
+def _li4_root_sum(w: np.ndarray) -> np.ndarray:
+    """Sums of Li4 over the last axis of an array of eigenvalues of real matrices.
 
-    Non-real eigenvalues come in exact conjugate pairs, and ``li4(conj z)`` is
-    ``conj(li4(z))`` bit for bit, so each pair adds ``2 Re Li4`` of its lower
-    member and the upper one is skipped.
+    ``w`` has shape ``(..., n)``, each row the eigenvalues of one real
+    matrix; returns shape ``(...)``.  One `_li4_array` call serves every
+    row.  A row's non-real eigenvalues come in conjugate pairs, whose Li4
+    values are conjugate too, so the sum is real and each row adds the real
+    parts of its Li4 values.
+
+    Raises
+    ------
+    ValueError
+        If an eigenvalue lies outside the unit disk, as `li4` refuses it.
     """
-    total = 0.0
-    for wi in w.tolist():
-        if wi.imag == 0.0:
-            total += li4(wi.real)
-        elif wi.imag < 0.0:
-            total += 2.0 * li4(wi).real
-    return total
+    return _li4_array(w).real.sum(axis=-1)
 
 
 def _polylog_panel(stack: StackSpec, t: np.ndarray) -> np.ndarray:
     """Node values ``sum_pol sum_i Li4(w_i)`` and their floors at the nodes ``t``.
 
-    Returns shape ``(2, k)``: values, then floors.  One `_inverse_roots`
-    call per polarization serves every node.  An opaque plate makes ``M``
-    block diagonal, with the segments' eigenvalues, so it needs no special
-    case.  The floor is the error bound of `li4`, once per eigenvalue.  An
-    eigenvalue outside the unit disk (``li4`` refuses ``|w| > 1 + 1e-12``)
-    raises `UnitDiskRootError` naming its node.
+    Returns shape ``(2, k)``: values, then floors.  Per polarization, one
+    `_inverse_roots` call and one `_li4_root_sum` call serve every node and
+    eigenvalue.  An opaque plate makes ``M`` block diagonal, with the
+    segments' eigenvalues, so it needs no special case.  The floor is the
+    error bound of `li4`, once per eigenvalue.  An eigenvalue outside the
+    unit disk (``li4`` refuses ``|w| > 1 + 1e-12``) raises
+    `UnitDiskRootError` naming the first node, in node order, that holds one.
     """
     values = 0.0
     for pol, (r, t_coef) in zip(Polarization, _coefficient_tables(stack, t)):
-        sums = []
-        for tj, w in zip(t.tolist(), _inverse_roots(round_trip_matrix(r, t_coef))):
-            try:
-                sums.append(_li4_root_sum(w))
-            except ValueError as exc:
-                raise UnitDiskRootError(str(exc), t=tj, pol=pol) from exc
-        values = values + np.array(sums)
+        w = _inverse_roots(round_trip_matrix(r, t_coef))
+        try:
+            values = values + _li4_root_sum(w)
+        except ValueError as exc:
+            node = np.argmax((np.abs(w) > 1.0 + _OVERSHOOT).any(axis=-1))
+            raise UnitDiskRootError(str(exc), t=float(t[node]), pol=pol) from exc
     floors = np.full(t.shape, _LI4_ERROR * (2 * (stack.n_plates - 1)))
     return np.array([values, floors])
 

@@ -1,7 +1,7 @@
 """Special functions and adaptive quadrature.
 
-Provides the fourth-order polylogarithm on the closed unit disk, the
-closed-form frequency integral ``int_0^inf s^2 ln(1 - c e^-s) ds``, a
+Provides the fourth-order polylogarithm on the closed unit disk, as the
+scalar ``li4`` and as the private array kernel ``_li4_array``, a
 deterministic adaptive Gauss-Legendre integrator on [0, 1], and a
 two-dimensional quadrature over the (angle, frequency) domain that maps the
 frequency axis onto (0, 1] by ``u = e^-s``.
@@ -13,7 +13,9 @@ From ``|z| = 1/2`` up to and including the unit circle it sums the
 expansion in ``mu = ln z`` around ``z = 1`` (Crandall, "Note on fast
 polylogarithm computation", 2006), which converges like ``(|mu| / 2 pi)^m``
 with ``|mu| / 2 pi <= 0.513`` there; truncated after ``mu^45``, its tail is
-below 4e-18.
+below 4e-18.  ``_li4_array`` sums the same two series on a whole array in
+a fixed number of numpy calls; it stays within 1e-14 of ``li4`` but is not
+bit-identical to it.
 
 The integrators use open rules only (no endpoint evaluations), subdivide
 worst-panel-first, the oldest of equal panels first, and sum results in a
@@ -135,20 +137,28 @@ def _series(z):
     return acc * z
 
 
-def _log_series(mu, log_neg_mu):
-    """``Li4(e^mu)`` for ``|mu| < 3.22``, given ``ln(-mu)`` on the principal branch.
+def _log_series_head(mu, log_neg_mu, odd):
+    """``Li4(e^mu)`` from the sum ``odd`` of its terms in ``mu^5, mu^7, ...``.
 
     ``sum_{m != 3} zeta(4 - m) mu^m / m! + mu^3 / 6 (H_3 - ln(-mu))`` with
-    ``H_3 = 11/6``, by Horner's rule; works on floats and complex numbers alike.
+    ``H_3 = 11/6``, where ``odd = sum_k _LOG_SERIES_ODD[-k] mu^(2k - 2)``
+    carries every term above ``mu^4``; ``log_neg_mu`` is ``ln(-mu)`` on the
+    principal branch.  Works on floats, complex numbers and arrays alike.
     """
+    acc = -1.0 / 48.0 + mu * odd  # zeta(0) / 4! = -1/48
+    acc = (11.0 / 6.0 - log_neg_mu) / 6.0 + mu * acc
+    acc = _HALF_ZETA2 + mu * acc
+    return ZETA4 + mu * (_ZETA3 + mu * acc)
+
+
+def _log_series(mu, log_neg_mu):
+    """``Li4(e^mu)`` for ``|mu| < 3.22``, given ``ln(-mu)`` on the principal
+    branch, with the terms above ``mu^4`` summed by Horner's rule."""
     mu2 = mu * mu
     acc = 0.0
     for c in _LOG_SERIES_ODD:
         acc = acc * mu2 + c
-    acc = -1.0 / 48.0 + mu * acc  # zeta(0) / 4! = -1/48
-    acc = (11.0 / 6.0 - log_neg_mu) / 6.0 + mu * acc
-    acc = _HALF_ZETA2 + mu * acc
-    return ZETA4 + mu * (_ZETA3 + mu * acc)
+    return _log_series_head(mu, log_neg_mu, acc)
 
 
 def _li4_real(x: float) -> float:
@@ -164,6 +174,11 @@ def _li4_real(x: float) -> float:
         return _series(x)
     mu = math.log(x)
     return _log_series(mu, math.log(-mu))
+
+
+def _outside_disk(az: float) -> ValueError:
+    """The error `li4` and `_li4_array` raise for an argument of modulus ``az``."""
+    return ValueError(f"li4 argument outside the unit disk: |z| = {az!r}")
 
 
 def li4(z):
@@ -196,7 +211,7 @@ def li4(z):
     zc = complex(z)
     az = abs(zc)
     if az > 1.0 + _OVERSHOOT:
-        raise ValueError(f"li4 argument outside the unit disk: |z| = {az!r}")
+        raise _outside_disk(az)
     if az > 1.0:
         zc /= az
     if zc.imag == 0.0:
@@ -209,6 +224,65 @@ def li4(z):
         mu = cmath.log(upper)
         v = _log_series(mu, cmath.log(-mu))
     return v if zc.imag > 0.0 else v.conjugate()
+
+
+# The coefficient tables as vectors, lowest power first: z^1 ... z^34, and
+# mu^5, mu^7, ..., mu^45.
+_SERIES_VECTOR = np.array(_INV_K4[::-1])
+_LOG_SERIES_VECTOR = np.array(_LOG_SERIES_ODD[::-1])
+
+
+def _power_table(x: np.ndarray, n: int) -> np.ndarray:
+    """``x^k`` for ``k = 1 ... n``, shape ``(m, n)`` for ``m`` values ``x``."""
+    return np.cumprod(np.repeat(x[:, None], n, axis=1), axis=1)
+
+
+def _contract(powers: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Row sums ``powers @ coefficients``, each in an order fixed by the row alone.
+
+    ``einsum`` sums every row the same way however many rows there are;
+    ``@`` hands the stack to BLAS, whose blocking depends on its size.
+    """
+    return np.einsum("ij,j->i", powers, coefficients)
+
+
+def _li4_array(z) -> np.ndarray:
+    """``Li4`` of every element of a real or complex array on the closed unit disk.
+
+    The array form of `li4`, with its switch radius, coefficient tables and
+    overshoot rule; returns a complex array of the same shape.  The
+    elements on either side of the switch radius are gathered into one
+    vector each, whose series is its power table (``z^k``, ``k <= 34``, or
+    ``(mu^2)^k``, ``k <= 20``) contracted with the coefficients.
+    ``mu = ln min(|z|, 1) + i arg z`` puts an overshoot on the unit circle,
+    as `li4` does, and ``z = 1`` gives ``ZETA4``.  A real ``x <= -1/2``
+    takes the log series like a complex argument, not `li4`'s duplication
+    formula, so its error there reaches 2.6e-15 where `li4`'s stays below
+    5e-16.  Each value depends only on its own element, so a row gives the
+    same bits alone as inside a stack.
+
+    Raises
+    ------
+    ValueError
+        If some ``|z|`` exceeds ``1 + 1e-12``, naming the first such element
+        in C order with `li4`'s message.
+    """
+    z = np.asarray(z, dtype=complex)
+    az = np.abs(z)
+    outside = az > 1.0 + _OVERSHOOT
+    if outside.any():
+        raise _outside_disk(az[outside][0].item())
+    values = np.empty(z.shape, complex)
+    inner = az < _SERIES_RADIUS
+    values[inner] = _contract(_power_table(z[inner], _SERIES_VECTOR.size), _SERIES_VECTOR)
+    outer = ~inner
+    zo = z[outer]
+    mu = np.log(np.minimum(az[outer], 1.0)) + 1j * np.arctan2(zo.imag, zo.real)
+    mu2_powers = _power_table(mu * mu, _LOG_SERIES_VECTOR.size - 1)
+    odd = _LOG_SERIES_VECTOR[0] + _contract(mu2_powers, _LOG_SERIES_VECTOR[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln(-mu) is infinite at z = 1
+        values[outer] = np.where(mu == 0.0, ZETA4, _log_series_head(mu, np.log(-mu), odd))
+    return values
 
 
 # ---------------------------------------------------------------------------

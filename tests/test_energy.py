@@ -7,6 +7,7 @@ the stated tolerances.
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -509,7 +510,8 @@ class TestRootDiagnostics:
             w = _inverse_roots(m).tolist()
             lower = sorted((z.real, -z.imag) for z in w if z.imag < 0.0)
             upper = sorted((z.real, z.imag) for z in w if z.imag > 0.0)
-            # `_li4_root_sum` counts the lower member twice and skips the upper
+            # the imaginary parts of their Li4 values cancel, so
+            # `_li4_root_sum` adds only the real parts
             assert lower == upper, m
             paired += len(lower)
         assert paired > 300
@@ -556,11 +558,13 @@ class TestRootDiagnostics:
 
         def escaping_roots(m):
             # one call per polarization, TM before TE; the TE stack gets an
-            # eigenvalue at |w| = 1.5 at the panel's fourth node
+            # eigenvalue at |w| = 1.5 at the panel's fourth node, and the
+            # error names that node, not the later one at |w| = 1.25
             w = real_roots(m).astype(complex)
             calls.append(w.shape)
             if len(calls) == 2:
                 w[3, 1] = 1.5
+                w[7, 0] = 1.25
             return w
 
         monkeypatch.setattr(energy_mod, "_coefficient_tables", coefficient_tables)
@@ -577,6 +581,23 @@ class TestRootDiagnostics:
         )
         assert isinstance(err.value.__cause__, ValueError)
         assert not hasattr(err.value, "roots")
+
+    @pytest.mark.parametrize(
+        "plates, scalar_ratio",
+        [
+            ((PE, PE), 1.000000000000001),  # w = 1 at every node
+            ((GRAPHENE, Transparent(), GRAPHENE), 0.0006729153591945162),  # zero eigenvalues
+            ((GRAPHENE, PE, GRAPHENE, GRAPHENE), 0.061247621558123),  # opaque split
+        ],
+        ids=["pe-pe", "transparent-inside", "opaque-split"],
+    )
+    def test_special_spectra_solve_without_warnings(self, plates, scalar_ratio):
+        # scalar_ratio: the value with one scalar `li4` call per eigenvalue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = energy_ratio_polylog(uniform_stack(plates))
+        assert result.method == "polylog"
+        assert abs(result.ratio - scalar_ratio) <= result.err_estimate
 
     def test_non_uniform_auto_uses_quadrature(self):
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)

@@ -6,6 +6,7 @@ not circularity.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from casimir_plates.special import (
     _integrate_2d_bound,
     _integrate_floor,
     _integrate_many,
+    _li4_array,
     _rules,
     li4,
 )
@@ -107,6 +109,11 @@ _DENSE_PHASES = [math.pi * i / 48 for i in range(-48, 49)] + [
 ]
 
 
+# the switch radius, 1e-15 and 1e-9 either side of it, and phases around it
+_SWITCH_RADII = [0.5 - 1e-9, 0.5 - 1e-15, 0.5, 0.5 + 1e-15, 0.5 + 1e-9]
+_SWITCH_PHASES = [0.0, 1e-6, 0.5, 1.5, 2.5, math.pi - 1e-6, math.pi, -2.0]
+
+
 class TestLi4Coverage:
     """Both branches of li4: the defining series below |z| = 1/2, the log-series above."""
 
@@ -122,9 +129,9 @@ class TestLi4Coverage:
             z = _on_circle(radius, phase)
             assert li4(z) == pytest.approx(mp_li4(z), abs=1e-13), (radius, phase)
 
-    @pytest.mark.parametrize("radius", [0.5 - 1e-9, 0.5 - 1e-15, 0.5, 0.5 + 1e-15, 0.5 + 1e-9])
+    @pytest.mark.parametrize("radius", _SWITCH_RADII)
     def test_across_switch_radius(self, radius):
-        for phase in [0.0, 1e-6, 0.5, 1.5, 2.5, math.pi - 1e-6, math.pi, -2.0]:
+        for phase in _SWITCH_PHASES:
             z = _on_circle(radius, phase)
             assert li4(z) == pytest.approx(mp_li4(z), abs=1e-13), (radius, phase)
         assert li4(radius) == pytest.approx(mp_li4(radius).real, abs=1e-13)
@@ -145,6 +152,76 @@ class TestLi4Coverage:
     def test_real_input_gives_float_on_both_branches(self, x):
         assert type(li4(x)) is float
         assert type(li4(complex(x))) is complex
+
+
+def _coverage_points():
+    """TestLi4Coverage's points as one complex array: 1 - 10^-k and its
+    negative, the dense phase grid on |z| in {0.9, 0.99, 0.999, 1}, and the
+    switch radius and 1e-15 and 1e-9 either side of it."""
+    points = [s * (1.0 - 10.0**-k) for k in range(2, 16) for s in (1.0, -1.0)]
+    points += [_on_circle(r, p) for r in (0.9, 0.99, 0.999, 1.0) for p in _DENSE_PHASES]
+    points += [_on_circle(r, p) for r in _SWITCH_RADII for p in _SWITCH_PHASES]
+    points += [s * r for r in _SWITCH_RADII for s in (1.0, -1.0)]
+    return np.array(points)
+
+
+class TestLi4Array:
+    """The array kernel: `li4`'s series and rules on a whole array at once."""
+
+    POINTS = _coverage_points()
+
+    def test_against_mpmath(self):
+        values = _li4_array(self.POINTS)
+        assert values.shape == self.POINTS.shape
+        for z, v in zip(self.POINTS.tolist(), values.tolist()):
+            assert abs(v - mp_li4(z)) <= 1e-14, z
+
+    def test_agrees_with_scalar_li4(self):
+        values = _li4_array(self.POINTS)
+        for z, v in zip(self.POINTS.tolist(), values.tolist()):
+            assert abs(v - li4(z)) <= 1e-14, z
+
+    def test_exact_points(self):
+        values = _li4_array(np.array([0.0, 1.0, -1.0]))
+        assert values[0] == 0.0
+        assert values[1] == ZETA4
+        assert abs(values[2] - LI4_MINUS_ONE) <= 1e-15
+
+    @pytest.mark.parametrize("z", [1.0, -1.0, 1j, _on_circle(1.0, 2.0)], ids=["1", "-1", "i", "e^2i"])
+    def test_overshoot_accepted_and_refused_as_li4(self, z):
+        inside = z * (1.0 + 0.9e-12)
+        assert abs(_li4_array(np.array([0.3, inside]))[1] - li4(inside)) <= 1e-14
+        outside = z * (1.0 + 1.1e-12)
+        with pytest.raises(ValueError) as scalar:
+            li4(outside)
+        with pytest.raises(ValueError) as array:
+            _li4_array(np.array([[0.3, 0.2], [outside, 1.5]]))
+        assert str(array.value) == str(scalar.value)
+
+    def test_real_zero_and_large_inputs_without_warnings(self):
+        rng = np.random.default_rng(20261019)
+        real = rng.uniform(-1.0, 1.0, (46, 3))  # eigvals of an all-real spectrum
+        real[5] = 0.0
+        z = np.sqrt(rng.uniform(0.0, 1.0, (46, 127))) * np.exp(1j * rng.uniform(-4.0, 4.0, (46, 127)))
+        z[::7, ::5] = 0.0
+        z[3, 4] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _li4_array(real)
+            stacked = _li4_array(z)
+        assert values.dtype == complex and values.shape == real.shape
+        assert (values[5] == 0.0).all()
+        expected = [li4(x) for x in real.ravel().tolist()]
+        assert np.abs(values.ravel() - expected).max() <= 1e-14
+        assert stacked.shape == z.shape and (stacked[::7, ::5] == 0.0).all()
+        assert stacked[3, 4] == ZETA4
+        # each element's value depends on that element alone
+        for row, row_values in zip(z, stacked):
+            assert _li4_array(row).tolist() == row_values.tolist()
+        for row, row_values in zip(real, values):
+            assert _li4_array(row).tolist() == row_values.tolist()
+        for x, v in zip(z[1].tolist(), stacked[1].tolist()):
+            assert _li4_array(x) == v
 
 
 class TestSIntegral:
