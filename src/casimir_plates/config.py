@@ -68,6 +68,10 @@ _PLATES = {
 }
 # What a plate line with that many fields takes.
 _ARITY = ("no parameters", "one value or '*'", "two coupling values")
+# The directives of one argument, and what that argument is.
+_ONE_ARGUMENT = {
+    "method": "word", "label": "word", "output": "path", "rel-tol": "value", "abs-tol": "value"
+}
 
 
 class ConfigError(ValueError):
@@ -160,14 +164,11 @@ def parse_config(text: str) -> RunConfig:
             if not args:
                 raise ConfigError(f"line {lineno}: gaps needs at least one value")
             fields["gaps"] = tuple(_parse_float(a, lineno, "gap") for a in args)
-        elif key == "method":
+        elif key in _ONE_ARGUMENT:  # `validate_config` checks the words
             if len(args) != 1:
-                raise ConfigError(f"line {lineno}: method takes one word")
-            fields["method"] = args[0]  # `validate_config` checks the word
-        elif key in ("rel-tol", "abs-tol"):
-            if len(args) != 1:
-                raise ConfigError(f"line {lineno}: {key} takes one value")
-            fields[key.replace("-", "_")] = _parse_float(args[0], lineno, key)
+                raise ConfigError(f"line {lineno}: {key} takes one {_ONE_ARGUMENT[key]}")
+            value = _parse_float(args[0], lineno, key) if key.endswith("-tol") else args[0]
+            fields[key.replace("-", "_")] = value
         elif key == "sweep":
             if len(args) != 4 or args[0] not in _GRID_KINDS:
                 raise ConfigError(
@@ -184,14 +185,6 @@ def parse_config(text: str) -> RunConfig:
             if args:
                 raise ConfigError(f"line {lineno}: sweep-shared takes no parameters")
             fields["sweep_shared"] = True
-        elif key == "output":
-            if len(args) != 1:
-                raise ConfigError(f"line {lineno}: output takes one path")
-            fields["output"] = args[0]
-        elif key == "label":
-            if len(args) != 1:
-                raise ConfigError(f"line {lineno}: label takes one word")
-            fields["label"] = args[0]
         else:
             raise ConfigError(f"line {lineno}: unknown directive {key!r}")
     config = RunConfig(plates=tuple(plates), **fields)

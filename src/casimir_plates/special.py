@@ -3,8 +3,8 @@
 Provides the fourth-order polylogarithm on the closed unit disk, as the
 scalar ``li4`` and as the private array kernel ``_li4_array``, a
 deterministic adaptive Gauss-Legendre integrator on [0, 1], and a
-two-dimensional quadrature over the (angle, frequency) domain that maps the
-frequency axis onto (0, 1] by ``u = e^-s``.
+two-dimensional quadrature over the (angle, frequency) domain that runs both
+its integrals in one map, ``t = x**3`` and ``e^-s = x**3`` (`_cubed`).
 
 ``li4`` costs a fixed few dozen terms per call anywhere on the disk.
 Below the switch radius ``|z| < 1/2`` it sums the defining series
@@ -27,7 +27,7 @@ integral ``rows[i]``, and returns arrays of values and noise floors of that
 shape.  Each round evaluates the new panels of every unfinished integral in
 one such call.  Both energy routes take their angular integral through
 `_integrate_floor`, in ``t = x**3``; the 2-D quadrature runs the inner
-integrals of all nodes of an outer panel in lockstep.
+integrals of all nodes of an outer panel in lockstep, in the same map.
 """
 
 from __future__ import annotations
@@ -391,24 +391,31 @@ def _integrate_many(
     return np.array(totals), np.array(bounds)
 
 
+def _cubed(g):
+    """``g(rows, u)`` in ``u = x**3``: ``3 x^2 g(rows, x^3)``, values and floors alike."""
+
+    def in_x(rows, x):
+        weight = 3.0 * x * x
+        return tuple(weight * part for part in g(rows, x**3))  # values, floors
+
+    return in_x
+
+
 def _integrate_floor(
     g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec
 ) -> Tuple[float, float]:
-    """``int_0^1 g(t) dt`` and its total error bound, taken in ``t = x**3``.
+    """``int_0^1 g(t) dt`` and its total error bound, taken in `_cubed`'s map.
 
-    `_integrate_many` with ``m = 1`` on the integrand ``3 x^2 g(x^3)``.
     ``g(t)`` takes the 46 nodes ``t`` of one panel (one call per panel) and
-    returns their values and noise floors stacked on its first axis; both
-    take the weight.  A sheet's reflections switch on near grazing angle,
-    TM near ``t = sigma / 2`` and TE near ``t = 2 / sigma``; the weight
-    spreads those angles over more of [0, 1].
+    returns their values and noise floors stacked on its first axis.  A sheet's
+    reflections switch on near grazing angle, TM near ``t = sigma / 2`` and TE
+    near ``t = 2 / sigma``; the map spreads those angles over more of [0, 1].
     """
 
-    def one_per_panel(rows, x):
-        pairs = [3.0 * xi * xi * g(xi**3) for xi in x]
-        return np.array([v for v, _ in pairs]), np.array([fl for _, fl in pairs])
+    def one_per_panel(rows, t):
+        return np.array([g(ti) for ti in t]).swapaxes(0, 1)  # values, floors
 
-    values, bounds = _integrate_many(one_per_panel, 1, spec)
+    values, bounds = _integrate_many(_cubed(one_per_panel), 1, spec)
     return float(values[0]), float(bounds[0])
 
 
@@ -424,11 +431,11 @@ def _integrate_2d_bound(
     integrand values in the same shape.  ``s^2 F`` must be absolutely
     integrable, which in practice means ``F`` decays exponentially in ``s``.
 
-    The outer integral runs in `_integrate_floor`'s ``t = x**3``, the inner
-    one in ``u = exp(-s)``, which maps the frequency axis onto (0, 1] with
-    integrand ``ln(u)^2 F(rows, -ln u) / u`` and no tail heuristics.  The
-    inner integrals of all the panel's nodes run in lockstep
-    (`_integrate_many`).
+    Both integrals run in `_cubed`'s map: the outer one in `_integrate_floor`,
+    the inner ones, all the panel's nodes in lockstep, on ``ln(u)^2 F(rows,
+    -ln u) / u`` with ``u = exp(-s)`` and no tail heuristics.  As ``s ->
+    inf``, ``F ~ -r r' u`` makes that ``-r r' ln(u)^2``, singular at ``u =
+    0``, but ``-27 r r' x^2 ln(x)^2`` in ``x``, which vanishes there.
     """
     ispec = QuadratureSpec(spec.rel_tol * 0.1, spec.abs_tol * 0.1, spec.max_subdivisions)
 
@@ -439,6 +446,6 @@ def _integrate_2d_bound(
             lg = np.log(u)
             return lg * lg * F(rows, -lg) / u, np.zeros(u.shape)
 
-        return np.array(_integrate_many(h, t.size, ispec))
+        return np.array(_integrate_many(_cubed(h), t.size, ispec))
 
     return _integrate_floor(inner, spec)

@@ -874,8 +874,9 @@ class TestQuadratureRoute:
     @pytest.mark.parametrize("plates, gaps", UNEQUAL_GAP_STACKS)
     def test_lockstep_equals_per_node_integrals(self, plates, gaps):
         # the route one node at a time: each inner integral on its own, with
-        # Delta on the 1-D array of one panel's frequencies, and the outer
-        # integral in t = x**3 with its weight 3 x**2
+        # Delta on the 1-D array of one panel's frequencies, in u = e^-s =
+        # x**3 with its weight 3 x**2, and the outer integral in t = x**3
+        # with the same weight
         from casimir_plates.scattering import (
             NodeCoefficients,
             StackGeometry,
@@ -894,12 +895,13 @@ class TestQuadratureRoute:
                 r, t_coef = zip(*(coefficients(p, pol, t) for p in plates))
                 pair.append(NodeCoefficients(r, t_coef))
 
-            def h(u):
+            def h(x):
+                u = x**3
                 lg = np.log(u)
                 total = 0.0
                 for coeffs in pair:
                     total = total + np.log(delta_total(coeffs, geometry, -lg))
-                return lg * lg * total / u, np.zeros(u.shape)
+                return 3.0 * x * x * (lg * lg * total / u), np.zeros(u.shape)
 
             return integrate_1d(h, inner_spec)
 
@@ -909,6 +911,55 @@ class TestQuadratureRoute:
         scale = -45.0 / (2.0 * math.pi**4) / g_min**3
         result = energy_ratio_quadrature(stack, spec)
         assert (result.ratio, result.err_estimate) == (scale * value, abs(scale) * bound)
+
+    # perfbench/references.json, from perfbench/references.py's stack_ratio
+    # apart from the package: nested scipy quadrature of ln Delta, called as
+    # stack_ratio(plates, gaps, 1e-11); (ratio, uncertainty) per stack of
+    # UNEQUAL_GAP_STACKS, in its order
+    UNEQUAL_GAP_REFERENCES = (
+        (0.006125686517517557, 1.6837105443445688e-12),
+        (0.05183325169376679, 1.7947270076737452e-13),
+        (0.00019938232865191954, 1.4547882223965208e-12),
+        (0.03006349549021328, 2.2190740370273847e-12),
+        (-0.38538196119827567, 3.508685447092293e-13),
+        (-0.38538196119827567, 3.508601782711069e-13),
+    )
+
+    @pytest.mark.parametrize(
+        "stack_and_reference",
+        list(zip(UNEQUAL_GAP_STACKS, UNEQUAL_GAP_REFERENCES)),
+        ids=[
+            "graphene-N3-gaps12",
+            "generic-mix-N4",
+            "graphene-T-graphene",
+            "graphene-PE-graphene",
+            "pm-edge-N4",
+            "pm-edge-N4-mirror",
+        ],
+    )
+    def test_unequal_gap_estimates_cover_their_errors(self, stack_and_reference):
+        (plates, gaps), (reference, unc) = stack_and_reference
+        result = energy_ratio_quadrature(StackSpec(plates, gaps), QuadratureSpec(1e-6, 1e-12))
+        assert abs(result.ratio - reference) <= result.err_estimate + unc
+
+    def test_inner_map_resolves_the_high_frequency_end(self, monkeypatch):
+        # machine-independent: the Delta evaluations one solve needs.  In
+        # u = e^-s the inner integrand is -r r' ln(u)^2 near u = 0, which the
+        # driver can only resolve by bisecting toward 0 (495,144 evaluations
+        # here); in u = x**3 it vanishes there (66,056)
+        import casimir_plates.energy as energy_mod
+
+        real_delta = energy_mod.delta_total
+        evaluations = [0]
+
+        def counted_delta(coeffs, geometry, s):
+            evaluations[0] += s.size
+            return real_delta(coeffs, geometry, s)
+
+        monkeypatch.setattr(energy_mod, "delta_total", counted_delta)
+        stack = StackSpec((GRAPHENE,) * 3, (1.0, 2.0))
+        energy_ratio(stack, QuadratureSpec(1e-6, 1e-12), method="quadrature")
+        assert 0 < evaluations[0] <= 150_000
 
 
 class TestStrongCouplingBound:
