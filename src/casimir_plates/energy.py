@@ -8,7 +8,7 @@ evaluation routes are provided:
 * a semi-analytic route that takes, at each angular node, the eigenvalues
   of the round-trip matrix, which are the inverse roots of ``Delta``, and
   sums their fourth-order polylogarithms (uniform gaps only; one stacked
-  eigenvalue call per panel and polarization), and
+  eigenvalue call per round of the angular integral), and
 * a direct two-dimensional quadrature of ``ln Delta`` over the full
   (angle, frequency) domain, valid for any gaps and any material mix.
 
@@ -232,17 +232,15 @@ def _check_sweep(template: StackSpec, shared: bool, grid: Sequence[float]) -> No
 
 
 def _coefficient_tables(stack: StackSpec, t: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
-    """Per polarization, the ``(r, t_coef)`` tables of shape ``(N, k)`` at nodes ``t``.
+    """Per polarization, the ``(r, t_coef)`` tables of shape ``(N,) + t.shape``.
 
-    Row ``i`` belongs to plate ``i``, column ``j`` to node ``t[j]``; each
-    table comes from one `coefficients` call per plate.
+    Index ``i`` of the first axis belongs to plate ``i``, the rest to the
+    nodes ``t``; each table comes from one `coefficients` call per plate.
     """
-    tables = []
-    for pol in Polarization:
-        pairs = [coefficients(p, pol, t) for p in stack.plates]
-        r, t_coef = zip(*pairs)
-        tables.append((np.array(r), np.array(t_coef)))
-    return tables
+    return [
+        tuple(np.array(c) for c in zip(*(coefficients(p, pol, t) for p in stack.plates)))
+        for pol in Polarization
+    ]
 
 
 def _inverse_roots(m: np.ndarray) -> np.ndarray:
@@ -280,22 +278,26 @@ def _li4_root_sum(w: np.ndarray) -> np.ndarray:
 def _polylog_panel(stack: StackSpec, t: np.ndarray) -> np.ndarray:
     """Node values ``sum_pol sum_i Li4(w_i)`` and their floors at the nodes ``t``.
 
-    Returns shape ``(2, k)``: values, then floors.  Per polarization, one
-    `_inverse_roots` call and one `_li4_root_sum` call serve every node and
-    eigenvalue.  An opaque plate makes ``M`` block diagonal, with the
-    segments' eigenvalues, so it needs no special case.  The floor is the
-    error bound of `li4`, once per eigenvalue.  An eigenvalue outside the
-    unit disk (``li4`` refuses ``|w| > 1 + 1e-12``) raises
-    `UnitDiskRootError` naming the first node, in node order, that holds one.
+    ``t`` holds nodes on its last axis, panels on any before it; returns
+    shape ``(2,) + t.shape``: values, then floors.  The polarizations' tables
+    are stacked next to the node axis, so one `_inverse_roots` call and one
+    `_li4_root_sum` call serve every panel, polarization and node.  An
+    opaque plate makes ``M`` block diagonal, with the segments' eigenvalues,
+    so it needs no special case.  The floor is the error bound of `li4`, once
+    per eigenvalue.  An eigenvalue outside the unit disk (``li4`` refuses
+    ``|w| > 1 + 1e-12``) raises `UnitDiskRootError` naming the first node
+    that holds one, in the order panel, polarization, node.
     """
-    values = 0.0
-    for pol, (r, t_coef) in zip(Polarization, _coefficient_tables(stack, t)):
-        w = _inverse_roots(round_trip_matrix(r, t_coef))
-        try:
-            values = values + _li4_root_sum(w)
-        except ValueError as exc:
-            node = np.argmax((np.abs(w) > 1.0 + _OVERSHOOT).any(axis=-1))
-            raise UnitDiskRootError(str(exc), t=float(t[node]), pol=pol) from exc
+    r, t_coef = (np.stack(part, axis=-2) for part in zip(*_coefficient_tables(stack, t)))
+    w = _inverse_roots(round_trip_matrix(r, t_coef))  # (..., pol, node, N-1)
+    try:
+        sums = _li4_root_sum(w)
+    except ValueError as exc:
+        first = np.argmax((np.abs(w) > 1.0 + _OVERSHOOT).any(axis=-1))
+        *panel, pol, node = np.unravel_index(first, w.shape[:-1])
+        pol = list(Polarization)[pol]
+        raise UnitDiskRootError(str(exc), t=float(t[(*panel, node)]), pol=pol) from exc
+    values = 0.0 + sums[..., 0, :] + sums[..., 1, :]  # the polarizations in turn
     floors = np.full(t.shape, _LI4_ERROR * (2 * (stack.n_plates - 1)))
     return np.array([values, floors])
 
@@ -337,7 +339,7 @@ def energy_ratio_quadrature(
     geometry = StackGeometry(tuple(g / g_min for g in stack.gaps))
 
     def log_delta(t: np.ndarray):
-        tables = _coefficient_tables(stack, t)  # (N, 46) per polarization
+        tables = _coefficient_tables(stack, t)  # (N, k) per polarization, k nodes
 
         def block(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
             total = 0.0

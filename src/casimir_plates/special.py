@@ -26,8 +26,9 @@ integrals over [0, 1] in lockstep: its integrand ``g(rows, x)`` gets a
 integral ``rows[i]``, and returns arrays of values and noise floors of that
 shape.  Each round evaluates the new panels of every unfinished integral in
 one such call.  Both energy routes take their angular integral through
-`_integrate_floor`, in ``t = x**3``; the 2-D quadrature runs the inner
-integrals of all nodes of an outer panel in lockstep, in the same map.
+`_integrate_floor`, in ``t = x**3``, whose integrand takes a whole round's
+nodes in one call; the 2-D quadrature runs the inner integrals of all those
+nodes in lockstep, in the same map.
 """
 
 from __future__ import annotations
@@ -406,16 +407,13 @@ def _integrate_floor(
 ) -> Tuple[float, float]:
     """``int_0^1 g(t) dt`` and its total error bound, taken in `_cubed`'s map.
 
-    ``g(t)`` takes the 46 nodes ``t`` of one panel (one call per panel) and
-    returns their values and noise floors stacked on its first axis.  A sheet's
-    reflections switch on near grazing angle, TM near ``t = sigma / 2`` and TE
-    near ``t = 2 / sigma``; the map spreads those angles over more of [0, 1].
+    ``g(t)`` takes the ``(k, 46)`` nodes ``t`` of a whole round, one row per
+    panel (one call per round), and returns their values and noise floors
+    stacked as ``(2, k, 46)``.  A sheet's reflections switch on near grazing
+    angle, TM near ``t = sigma / 2`` and TE near ``t = 2 / sigma``; the map
+    spreads those angles over more of [0, 1].
     """
-
-    def one_per_panel(rows, t):
-        return np.array([g(ti) for ti in t]).swapaxes(0, 1)  # values, floors
-
-    values, bounds = _integrate_many(_cubed(one_per_panel), 1, spec)
+    values, bounds = _integrate_many(_cubed(lambda rows, t: g(t)), 1, spec)
     return float(values[0]), float(bounds[0])
 
 
@@ -425,14 +423,14 @@ def _integrate_2d_bound(
 ) -> Tuple[float, float]:
     """Integral ``int_0^1 dt int_0^inf s^2 f(t, s) ds`` and its total error bound.
 
-    ``f(t)`` takes the angular nodes ``t`` of one outer panel (one call per
-    panel) and returns ``F(rows, s)``: row ``i`` of the ``(k, 46)``
+    ``f(t)`` takes the flat array of a round's angular nodes ``t`` (one call
+    per round) and returns ``F(rows, s)``: row ``i`` of the ``(k, 46)``
     frequencies ``s`` belongs to node ``t[rows[i]]``, and ``F`` returns the
     integrand values in the same shape.  ``s^2 F`` must be absolutely
     integrable, which in practice means ``F`` decays exponentially in ``s``.
 
     Both integrals run in `_cubed`'s map: the outer one in `_integrate_floor`,
-    the inner ones, all the panel's nodes in lockstep, on ``ln(u)^2 F(rows,
+    the inner ones, all the round's nodes in lockstep, on ``ln(u)^2 F(rows,
     -ln u) / u`` with ``u = exp(-s)`` and no tail heuristics.  As ``s ->
     inf``, ``F ~ -r r' u`` makes that ``-r r' ln(u)^2``, singular at ``u =
     0``, but ``-27 r r' x^2 ln(x)^2`` in ``x``, which vanishes there.
@@ -440,12 +438,12 @@ def _integrate_2d_bound(
     ispec = QuadratureSpec(spec.rel_tol * 0.1, spec.abs_tol * 0.1, spec.max_subdivisions)
 
     def inner(t: np.ndarray) -> np.ndarray:
-        F = f(t)
+        F = f(t.ravel())
 
         def h(rows: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             lg = np.log(u)
             return lg * lg * F(rows, -lg) / u, np.zeros(u.shape)
 
-        return np.array(_integrate_many(_cubed(h), t.size, ispec))
+        return np.array(_integrate_many(_cubed(h), t.size, ispec)).reshape((2,) + t.shape)
 
     return _integrate_floor(inner, spec)

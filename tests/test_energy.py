@@ -541,11 +541,30 @@ class TestRootDiagnostics:
                 expected += _li4_root_sum(_inverse_roots(m))
             assert values[j] == expected
 
+    def test_one_eigenvalue_call_per_round(self, monkeypatch):
+        # machine-independent: graphene N=6 at the default spec takes three
+        # rounds of the angular integral, and each round makes one
+        # `_inverse_roots` call for all its panels and both polarizations
+        # (one call per panel and polarization would make 10)
+        import casimir_plates.energy as energy_mod
+
+        real_roots = energy_mod._inverse_roots
+        shapes = []
+
+        def counted_roots(m):
+            shapes.append(m.shape)
+            return real_roots(m)
+
+        monkeypatch.setattr(energy_mod, "_inverse_roots", counted_roots)
+        energy_ratio(uniform_stack([GRAPHENE] * 6))
+        assert [shape[:2] for shape in shapes] == [(1, 2), (2, 2), (2, 2)]
+
     def test_exception_hierarchy(self):
         assert issubclass(UnitDiskRootError, PolylogPathError)
         assert issubclass(PolylogPathError, RuntimeError)
 
-    def test_unit_disk_error_names_node_and_polarization(self, monkeypatch):
+    @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)
+    def test_unit_disk_error_names_node_and_polarization(self, monkeypatch, pol):
         import casimir_plates.energy as energy_mod
 
         real_tables = energy_mod._coefficient_tables
@@ -557,30 +576,61 @@ class TestRootDiagnostics:
             return real_tables(stack, t)
 
         def escaping_roots(m):
-            # one call per polarization, TM before TE; the TE stack gets an
-            # eigenvalue at |w| = 1.5 at the panel's fourth node, and the
-            # error names that node, not the later one at |w| = 1.25
+            # one call per round, on (panel, polarization, node, eigenvalue):
+            # the first round's panel gets an eigenvalue at |w| = 1.5 in `pol`
+            # at its fourth node, and the error names that node, not the later
+            # one at |w| = 1.25; a TE one at an earlier node comes after TM
             w = real_roots(m).astype(complex)
             calls.append(w.shape)
-            if len(calls) == 2:
-                w[3, 1] = 1.5
-                w[7, 0] = 1.25
+            p = list(Polarization).index(pol)
+            w[0, p, 3, 1] = 1.5
+            w[0, p, 7, 0] = 1.25
+            if pol is Polarization.TM:
+                w[0, 1, 0, 0] = 1.25
             return w
 
         monkeypatch.setattr(energy_mod, "_coefficient_tables", coefficient_tables)
         monkeypatch.setattr(energy_mod, "_inverse_roots", escaping_roots)
         with pytest.raises(UnitDiskRootError) as err:
             energy_ratio_polylog(uniform_stack([GRAPHENE] * 3))
-        assert len(seen_t) == 1 and calls == [(seen_t[0].size, 2)] * 2
-        node = float(seen_t[0][3])
-        assert node != float(seen_t[0][0])
+        assert len(seen_t) == 1 and calls == [(1, 2, seen_t[0].shape[1], 2)]
+        node = float(seen_t[0][0, 3])
+        assert node != float(seen_t[0][0, 0])
         assert type(err.value.t) is float and err.value.t == node
-        assert err.value.pol is Polarization.TE
+        assert err.value.pol is pol
         assert str(err.value) == (
-            f"li4 argument outside the unit disk: |z| = 1.5 at t={node!r}, TE"
+            f"li4 argument outside the unit disk: |z| = 1.5 at t={node!r}, {pol.value}"
         )
         assert isinstance(err.value.__cause__, ValueError)
         assert not hasattr(err.value, "roots")
+
+    def test_unit_disk_error_names_the_first_panel_of_a_round(self, monkeypatch):
+        import casimir_plates.energy as energy_mod
+
+        real_tables = energy_mod._coefficient_tables
+        real_roots = energy_mod._inverse_roots
+        seen_t = []
+
+        def coefficient_tables(stack, t):
+            seen_t.append(t)
+            return real_tables(stack, t)
+
+        def escaping_roots(m):
+            # the second round holds two panels: a TE eigenvalue at the first
+            # panel's sixth node comes before a TM one at the second's first
+            w = real_roots(m).astype(complex)
+            if len(seen_t) == 2:
+                w[0, 1, 5, 0] = 1.5
+                w[1, 0, 0, 1] = 1.25
+            return w
+
+        monkeypatch.setattr(energy_mod, "_coefficient_tables", coefficient_tables)
+        monkeypatch.setattr(energy_mod, "_inverse_roots", escaping_roots)
+        with pytest.raises(UnitDiskRootError) as err:
+            energy_ratio_polylog(uniform_stack([GRAPHENE] * 3))
+        assert len(seen_t) == 2 and seen_t[1].shape[0] == 2
+        assert (err.value.t, err.value.pol) == (float(seen_t[1][0, 5]), Polarization.TE)
+        assert str(err.value).startswith("li4 argument outside the unit disk: |z| = 1.5 at")
 
     @pytest.mark.parametrize(
         "plates, scalar_ratio",

@@ -280,15 +280,18 @@ class TestIntegrateT:
         f = lambda t: math.sin(3.0 * t) / (0.1 + t)
         assert integrate_t(f) == integrate_t(f)
 
-    def test_array_integrand_one_call_per_panel(self):
-        sizes = []
+    def test_array_integrand_one_call_per_round(self):
+        # one integral splits one panel per round, so after the first round
+        # every call holds the two new halves
+        shapes = []
 
-        def g(x):
-            sizes.append(x.shape)
-            return np.exp(x), np.zeros(x.shape)
+        def g(t):
+            shapes.append(t.shape)
+            return np.array([np.log(t) ** 2, np.zeros(t.shape)])
 
         _integrate_floor(g, QuadratureSpec())
-        assert sizes and set(sizes) == {(46,)}
+        assert len(shapes) > 2
+        assert shapes == [(1, 46)] + [(2, 46)] * (len(shapes) - 1)
 
     def test_panel_sums_node_by_node(self):
         # the rules are summed in node order, one node at a time, as a loop
@@ -515,7 +518,7 @@ class TestAngularIntegral:
             (lambda t: 1.0 / np.sqrt(t), 2.0),
         ],
     )
-    def test_closed_form_one_call_per_panel(self, g, exact):
+    def test_closed_form_one_call_per_round(self, g, exact):
         calls = []
 
         def node(t):
@@ -526,14 +529,16 @@ class TestAngularIntegral:
         value, bound = _integrate_floor(node, spec)
         assert value == pytest.approx(exact, rel=spec.rel_tol)
         assert abs(value - exact) <= bound
-        assert all(t.shape == (46,) and 0.0 < t.min() and t.max() < 1.0 for t in calls)
+        assert all(t.shape[1:] == (46,) and 0.0 < t.min() and t.max() < 1.0 for t in calls)
+        # one call per round: the first panel, then the two halves of each split
+        rounds = len(calls)
+        assert [t.shape[0] for t in calls] == [1] + [2] * (rounds - 1)
         lo_x, hi_x = (np.polynomial.legendre.leggauss(n)[0] for n in (15, 31))
-        assert calls[0].tolist() == ((0.5 + 0.5 * np.concatenate((lo_x, hi_x))) ** 3).tolist()
+        assert calls[0].tolist() == [((0.5 + 0.5 * np.concatenate((lo_x, hi_x))) ** 3).tolist()]
         # the plain driver on the weighted integrand ``3 x^2 g(x^3)``, one call per panel
-        panels = len(calls)
         weighted = _batch((lambda x: 3.0 * x * x * node(x**3),))
         values, bounds = _integrate_many(weighted, 1, spec)
-        assert len(calls) == 2 * panels
+        assert len(calls) == rounds + 1 + 2 * (rounds - 1)
         assert (value, bound) == (float(values[0]), float(bounds[0]))
 
 
