@@ -2,7 +2,7 @@
 
 Provides the fourth-order polylogarithm on the closed unit disk, as the
 scalar ``li4`` and as the private array kernel ``_li4_array``, a
-deterministic adaptive Gauss-Legendre integrator on [0, 1], and a
+deterministic adaptive Gauss-Kronrod integrator on [0, 1], and a
 two-dimensional quadrature over the (angle, frequency) domain that runs both
 its integrals in one map, ``t = x**3`` and ``e^-s = x**3`` (`_cubed`).
 
@@ -22,13 +22,14 @@ worst-panel-first, the oldest of equal panels first, and sum results in a
 fixed order, so a given tolerance specification always reproduces the same
 bits.  Internally one driver, `_integrate_many`, advances many independent
 integrals over [0, 1] in lockstep: its integrand ``g(rows, x)`` gets a
-``(k, 46)`` array whose row ``i`` holds the 15 + 31 nodes of one panel of
-integral ``rows[i]``, and returns arrays of values and noise floors of that
-shape.  Each round evaluates the new panels of every unfinished integral in
-one such call.  Both energy routes take their angular integral through
-`_integrate_floor`, in ``t = x**3``, whose integrand takes a whole round's
-nodes in one call; the 2-D quadrature runs the inner integrals of all those
-nodes in lockstep, in the same map.
+``(k, 31)`` array whose row ``i`` holds the 31 Kronrod nodes of one panel
+of integral ``rows[i]``, the 15 Gauss nodes among them first, and returns
+arrays of values and noise floors of that shape.  Each round evaluates the
+new panels of every unfinished integral in one such call.  Both energy
+routes take their angular integral through `_integrate_floor`, in
+``t = x**3``, whose integrand takes a whole round's nodes in one call; the
+2-D quadrature runs the inner integrals of all those nodes in lockstep, in
+the same map.
 """
 
 from __future__ import annotations
@@ -287,35 +288,82 @@ def _li4_array(z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre machinery
+# adaptive Gauss-Kronrod machinery
 
-_GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(15)
-_GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(31)
-_NODES = np.concatenate((_GL_LO_X, _GL_HI_X))
-_N_LO = _GL_LO_X.size
+# The 15-point Gauss rule and its 31-point Kronrod extension on [-1, 1], as
+# QUADPACK's qk31 tabulates them (Piessens et al., QUADPACK, 1983): the
+# non-negative nodes from the largest down, the Gauss nodes at odd
+# positions, and the weights of both rules.  The Kronrod rule is exact to
+# degree 46 (47 by symmetry).
+_XGK = np.array([
+    0.998002298693397060285, 0.987992518020485428490, 0.967739075679139134257,
+    0.937273392400705904308, 0.897264532344081900883, 0.848206583410427216201,
+    0.790418501442465932968, 0.724417731360170047416, 0.650996741297416970534,
+    0.570972172608538847537, 0.485081863640239680694, 0.394151347077563369897,
+    0.299180007153168812167, 0.201194093997434522301, 0.101142066918717499027,
+    0.0,
+])
+_WGK = np.array([
+    0.00537747987292334898779, 0.0150079473293161225384, 0.0254608473267153201869,
+    0.0353463607913758462220, 0.0445897513247648766082, 0.0534815246909280872653,
+    0.0620095678006706402851, 0.0698541213187282587095, 0.0768496807577203788944,
+    0.0830805028231330210383, 0.0885644430562117706473, 0.0931265981708253212255,
+    0.0966427269836236785052, 0.0991735987217919593324, 0.100769845523875595045,
+    0.101330007014791549017,
+])
+_WG = np.array([
+    0.0307532419961172683546, 0.0703660474881081247093, 0.107159220467171935012,
+    0.139570677926154314448, 0.166269205816993933553, 0.186161000015562211027,
+    0.198431485327111576456, 0.202578241925561272881,
+])
+
+
+def _ascending(half: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """A symmetric rule's table over all its nodes, ascending, from its
+    non-negative half, largest node first and 0 last; ``sign=-1`` mirrors
+    the nodes themselves."""
+    return np.concatenate((sign * half[:-1], half[::-1]))
+
+
+# In ascending order the Gauss nodes take the odd positions; `_rules`
+# evaluates them first, then the other 16.
+_X31, _W31 = _ascending(_XGK, -1.0), _ascending(_WGK)
+_NODES = np.concatenate((_X31[1::2], _X31[0::2]))
+_K31_WEIGHTS = np.concatenate((_W31[1::2], _W31[0::2]))
+_G15_WEIGHTS = _ascending(_WG)
+_N_GAUSS = _G15_WEIGHTS.size
+
+# A sum of n products rounds by at most n u sum |w f| with u = eps / 2
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3);
+# n eps leaves room for the panel's scaling.
+_SUM_ROUNDING = _NODES.size * np.finfo(float).eps
 
 
 def _rules(g, rows, a: np.ndarray, b: np.ndarray):
-    """High-order estimates, error estimates and noise floors of k panels.
+    """Kronrod estimates, error estimates and noise floors of k panels.
 
     Row ``i`` is the panel ``[a[i], b[i]]`` of integral ``rows[i]``.  ``g``
-    is called once, on the ``(k, 46)`` array of the panels' 15 + 31 nodes
-    (the 15-point rule's first), and returns two arrays of that shape: the
+    is called once, on the ``(k, 31)`` array of the panels' Kronrod nodes
+    (the 15 Gauss nodes first), and returns two arrays of that shape: the
     values and a ``floor`` per node that bounds the evaluation error of the
-    value itself.  The error estimate is the difference of the 15- and
-    31-point Gauss rules; the floor is integrated with the high-order
-    weights.  Each rule is summed node by node in node order, vectorised
-    across rows, so every row sees the same sequential sum a loop over its
-    nodes would give.
+    value itself.  The estimate is the 31-point Kronrod sum, the error
+    estimate its difference from the 15-point Gauss sum on the same values.
+    The panel's floor integrates, with the Kronrod weights, each node's floor
+    plus the bound `_SUM_ROUNDING` on the rounding of the sum, so a panel
+    whose two rules agree to rounding is not split further.  Each rule is
+    summed node by node in node order, vectorised across rows, so every row
+    sees the same sequential sum a loop over its nodes would give.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     values, floors = g(rows, mid[:, None] + half[:, None] * _NODES)
     # accumulate adds strictly in order; np.sum or np.dot may pair terms
-    lo = np.add.accumulate(values[:, :_N_LO] * _GL_LO_W, axis=1)[:, -1]
-    hi = np.add.accumulate(values[:, _N_LO:] * _GL_HI_W, axis=1)[:, -1]
-    floor = np.add.accumulate(floors[:, _N_LO:] * _GL_HI_W, axis=1)[:, -1]
-    return (half * hi).tolist(), abs(half * (hi - lo)).tolist(), (half * floor).tolist()
+    gauss = np.add.accumulate(values[:, :_N_GAUSS] * _G15_WEIGHTS, axis=1)[:, -1]
+    kronrod = np.add.accumulate(values * _K31_WEIGHTS, axis=1)[:, -1]
+    noise = floors + _SUM_ROUNDING * abs(values)
+    floor = np.add.accumulate(noise * _K31_WEIGHTS, axis=1)[:, -1]
+    estimate, error = half * kronrod, abs(half * (kronrod - gauss))
+    return estimate.tolist(), error.tolist(), (half * floor).tolist()
 
 
 def _integrate_many(
@@ -327,7 +375,7 @@ def _integrate_many(
 
     Returns two arrays of length ``m``: the integrals and their total error
     bounds.  ``g(rows, x)`` evaluates integral ``rows[i]`` on row ``i`` of
-    ``x`` (shape ``(k, 46)``) as `_rules` describes.
+    ``x`` (shape ``(k, 31)``) as `_rules` describes.
 
     Each integral splits whichever of its panels carries the largest
     reducible error, the oldest of equal ones, until its summed error
@@ -407,9 +455,9 @@ def _integrate_floor(
 ) -> Tuple[float, float]:
     """``int_0^1 g(t) dt`` and its total error bound, taken in `_cubed`'s map.
 
-    ``g(t)`` takes the ``(k, 46)`` nodes ``t`` of a whole round, one row per
+    ``g(t)`` takes the ``(k, 31)`` nodes ``t`` of a whole round, one row per
     panel (one call per round), and returns their values and noise floors
-    stacked as ``(2, k, 46)``.  A sheet's reflections switch on near grazing
+    stacked as ``(2, k, 31)``.  A sheet's reflections switch on near grazing
     angle, TM near ``t = sigma / 2`` and TE near ``t = 2 / sigma``; the map
     spreads those angles over more of [0, 1].
     """
@@ -424,7 +472,7 @@ def _integrate_2d_bound(
     """Integral ``int_0^1 dt int_0^inf s^2 f(t, s) ds`` and its total error bound.
 
     ``f(t)`` takes the flat array of a round's angular nodes ``t`` (one call
-    per round) and returns ``F(rows, s)``: row ``i`` of the ``(k, 46)``
+    per round) and returns ``F(rows, s)``: row ``i`` of the ``(k, 31)``
     frequencies ``s`` belongs to node ``t[rows[i]]``, and ``F`` returns the
     integrand values in the same shape.  ``s^2 F`` must be absolutely
     integrable, which in practice means ``F`` decays exponentially in ``s``.

@@ -870,8 +870,8 @@ class TestQuadratureRoute:
         with pytest.raises(DeltaDomainError) as err:
             energy_ratio_quadrature(stack, QuadratureSpec(rel_tol=1e-6))
         message = str(err.value)
-        # the first call holds the first panel of all 46 nodes, row i at node i
-        assert rows_seen == [46]
+        # the first call holds the first panel of all 31 nodes, row i at node i
+        assert rows_seen == [31]
         assert "Delta = -0.25" in message
         assert message.endswith(": invalid coefficient regime")
         assert f"t={float(seen_t[0][1])!r}" in message
@@ -1010,6 +1010,24 @@ class TestQuadratureRoute:
         stack = StackSpec((GRAPHENE,) * 3, (1.0, 2.0))
         energy_ratio(stack, QuadratureSpec(1e-6, 1e-12), method="quadrature")
         assert 0 < evaluations[0] <= 150_000
+
+    def test_kronrod_rule_shares_the_gauss_nodes(self, monkeypatch):
+        # machine-independent: the 31-point Kronrod rule reuses the 15 Gauss
+        # nodes, where separate 15- and 31-point Gauss rules took 46 per
+        # panel (66,056 evaluations here); it needs 30,070
+        import casimir_plates.energy as energy_mod
+
+        real_delta = energy_mod.delta_total
+        evaluations = [0]
+
+        def counted_delta(coeffs, geometry, s):
+            evaluations[0] += s.size
+            return real_delta(coeffs, geometry, s)
+
+        monkeypatch.setattr(energy_mod, "delta_total", counted_delta)
+        stack = StackSpec((GRAPHENE,) * 3, (1.0, 2.0))
+        energy_ratio(stack, QuadratureSpec(1e-6, 1e-12), method="quadrature")
+        assert 0 < evaluations[0] <= 35_000
 
 
 class TestStrongCouplingBound:

@@ -18,6 +18,10 @@ from casimir_plates.special import (
     ZETA4,
     QuadratureConvergenceError,
     QuadratureSpec,
+    _G15_WEIGHTS,
+    _K31_WEIGHTS,
+    _NODES,
+    _SUM_ROUNDING,
     _integrate_2d_bound,
     _integrate_floor,
     _integrate_many,
@@ -251,6 +255,36 @@ class TestSIntegral:
         assert -2.0 * li4(1.0) == pytest.approx(direct, abs=1e-9)
 
 
+class TestKronrodRule:
+    """The 31-point Kronrod extension of the 15-point Gauss rule in `_rules`."""
+
+    def test_gauss_nodes_come_first_within_two_ulp_of_leggauss(self):
+        x15, w15 = np.polynomial.legendre.leggauss(15)
+        assert _NODES.shape == _K31_WEIGHTS.shape == (31,)
+        assert np.all(np.abs(_NODES[:15] - x15) <= 2.0 * np.spacing(np.abs(x15)))
+        assert np.all(np.abs(_G15_WEIGHTS - w15) <= 1e-15)
+        # the other 16 interlace them: in ascending order every other node is Gauss
+        order = np.argsort(_NODES)
+        assert sorted(order[1::2]) == list(range(15))
+
+    def test_qk31_check_value(self):
+        i = int(np.argmax(_NODES))
+        assert (_NODES[i], _K31_WEIGHTS[i]) == (0.998002298693397060, 0.005377479872923349)
+
+    @pytest.mark.parametrize("weights", ["kronrod", "gauss"])
+    def test_weights_positive_and_symmetric(self, weights):
+        x, w = (_NODES, _K31_WEIGHTS) if weights == "kronrod" else (_NODES[:15], _G15_WEIGHTS)
+        order = np.argsort(x)
+        assert np.all(w > 0.0)
+        assert x[order].tolist() == (-x[order][::-1]).tolist()
+        assert w[order].tolist() == w[order][::-1].tolist()
+
+    def test_kronrod_rule_exact_to_degree_46(self):
+        for k in range(47):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(_K31_WEIGHTS * _NODES**k) - exact) <= 1e-15, k
+
+
 class TestIntegrateT:
     def test_constant(self):
         assert integrate_t(lambda t: 1.0) == pytest.approx(1.0, rel=1e-14)
@@ -291,18 +325,16 @@ class TestIntegrateT:
 
         _integrate_floor(g, QuadratureSpec())
         assert len(shapes) > 2
-        assert shapes == [(1, 46)] + [(2, 46)] * (len(shapes) - 1)
+        assert shapes == [(1, 31)] + [(2, 31)] * (len(shapes) - 1)
 
     def test_panel_sums_node_by_node(self):
         # the rules are summed in node order, one node at a time, as a loop
         # over scalar evaluations would; np.dot or pairwise sums round differently
         rng = np.random.default_rng(7)
-        lo_x, lo_w = np.polynomial.legendre.leggauss(15)
-        hi_x, hi_w = np.polynomial.legendre.leggauss(31)
         a, b = 0.125, 0.75
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        values = rng.uniform(-1.0, 1.0, size=(20, 46))
-        floors = rng.uniform(0.0, 1e-9, size=(20, 46))
+        values = rng.uniform(-1.0, 1.0, size=(20, 31))
+        floors = rng.uniform(0.0, 1e-9, size=(20, 31))
         nodes = []
 
         def g(rows, x):
@@ -311,16 +343,16 @@ class TestIntegrateT:
 
         est, err, floor = _rules(g, np.arange(20), np.full(20, a), np.full(20, b))
         assert len(nodes) == 1
-        row = (mid + half * np.concatenate((lo_x, hi_x))).tolist()
+        row = (mid + half * _NODES).tolist()
         assert nodes[0].tolist() == [row] * 20
         for i in range(20):
             lo = 0.0
-            for wi, v in zip(lo_w, values[i, :15]):
+            for wi, v in zip(_G15_WEIGHTS, values[i, :15]):
                 lo += wi * v
             hi = fl = 0.0
-            for wi, v, fe in zip(hi_w, values[i, 15:], floors[i, 15:]):
+            for wi, v, fe in zip(_K31_WEIGHTS, values[i], floors[i]):
                 hi += wi * v
-                fl += wi * fe
+                fl += wi * (fe + _SUM_ROUNDING * abs(v))
             assert (est[i], err[i], floor[i]) == (half * hi, abs(half * (hi - lo)), half * fl)
 
     def test_non_convergence_carries_estimate(self):
@@ -360,20 +392,18 @@ def _batch(family, calls=None):
 
 
 def _sequential_integral(f, spec):
-    """One integral by a plain loop: per panel the 46 nodes, each rule summed
-    node by node, worst panel split first, ties to the older panel."""
-    lo_x, lo_w = np.polynomial.legendre.leggauss(15)
-    hi_x, hi_w = np.polynomial.legendre.leggauss(31)
+    """One integral by a plain loop: per panel the 31 Kronrod nodes, each rule
+    summed node by node, worst panel split first, ties to the older panel."""
 
     def panel(pa, pb):
         mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
-        values, floors = f(mid + half * np.concatenate((lo_x, hi_x)))
+        values, floors = f(mid + half * _NODES)
         lo = hi = fl = 0.0
-        for wi, v in zip(lo_w.tolist(), values[:15].tolist()):
+        for wi, v in zip(_G15_WEIGHTS.tolist(), values[:15].tolist()):
             lo += wi * v
-        for wi, v, fe in zip(hi_w.tolist(), values[15:].tolist(), floors[15:].tolist()):
+        for wi, v, fe in zip(_K31_WEIGHTS.tolist(), values.tolist(), floors.tolist()):
             hi += wi * v
-            fl += wi * fe
+            fl += wi * (fe + _SUM_ROUNDING * abs(v))
         return half * hi, abs(half * (hi - lo)), half * fl
 
     panels = {0: (0.0, 1.0, *panel(0.0, 1.0))}
@@ -433,8 +463,8 @@ class TestIntegrateMany:
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
         shapes = []
         _integrate_many(_batch(self.FAMILY, shapes), len(self.FAMILY), spec)
-        assert shapes[0] == (len(self.FAMILY), 46)
-        assert all(k % 2 == 0 and k <= 2 * len(self.FAMILY) and n == 46 for k, n in shapes[1:])
+        assert shapes[0] == (len(self.FAMILY), 31)
+        assert all(k % 2 == 0 and k <= 2 * len(self.FAMILY) and n == 31 for k, n in shapes[1:])
         # one call per round: as many rounds as the slowest integral needs
         slowest = []
         _integrate_many(_batch((lambda x: slowest.append(1) or self.FAMILY[3](x),)), 1, spec)
@@ -466,17 +496,17 @@ class TestIntegrateMany:
         )
 
 
-    # panel error estimates by midpoint, in units of the 15-point rule's
-    # weight sum: [0, 1/2] splits first, then its left half [0, 1/4] ties
-    # the older [1/2, 1]; deeper panels are exact
+    # panel error estimates by midpoint, in units of the Kronrod weights of
+    # the 16 nodes the Gauss rule lacks: [0, 1/2] splits first, then its left
+    # half [0, 1/4] ties the older [1/2, 1]; deeper panels are exact
     TIE_LEVELS = {0.5: 1.0, 0.25: 2.0, 0.75: 1.0, 0.125: 2.0, 0.375: 1.0, 0.625: 1.0, 0.875: 1.0}
 
     def _tied(self, mids):
         def f(x):
-            mids.append(float(x[30]))  # the 31-point rule's middle node: the midpoint
-            values = np.zeros(46)
-            values[:15] = self.TIE_LEVELS.get(mids[-1], 0.0)  # only the 15-point rule sees it
-            return values, np.zeros(46)
+            mids.append(float(x[7]))  # the middle Gauss node: the midpoint
+            values = np.zeros(31)
+            values[15:] = self.TIE_LEVELS.get(mids[-1], 0.0)  # the Gauss rule misses it
+            return values, np.zeros(31)
 
         return f
 
@@ -499,12 +529,16 @@ class TestIntegrateMany:
             _integrate_many(_batch((self._tied(mids),)), 1, spec)
         assert mids == [0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875]
         # live panels [0, 1/4], [1/4, 1/2], [1/2, 3/4], [3/4, 1], summed oldest
-        # first; splitting [0, 1/4] at the tie would leave 0.25 + 0.125 units
-        unit = np.add.accumulate(np.polynomial.legendre.leggauss(15)[1])[-1]
-        bound = 0.0
+        # first; splitting [0, 1/4] at the tie would leave 0.25 + 0.125 units.
+        # The Gauss sum of each panel is 0, so its value equals its error;
+        # the bound adds the rounding floor of each panel's sum
+        unit = np.add.accumulate(_K31_WEIGHTS[15:])[-1]
+        rounding_unit = np.add.accumulate(_SUM_ROUNDING * _K31_WEIGHTS[15:])[-1]
+        error = floor = 0.0
         for level in (0.25, 0.125, 0.125, 0.125):
-            bound += level * unit
-        assert (err.value.estimate, err.value.error_bound) == (0.0, bound)
+            error += level * unit
+            floor += level * rounding_unit
+        assert (err.value.estimate, err.value.error_bound) == (error, error + floor)
 
 
 class TestAngularIntegral:
@@ -529,12 +563,11 @@ class TestAngularIntegral:
         value, bound = _integrate_floor(node, spec)
         assert value == pytest.approx(exact, rel=spec.rel_tol)
         assert abs(value - exact) <= bound
-        assert all(t.shape[1:] == (46,) and 0.0 < t.min() and t.max() < 1.0 for t in calls)
+        assert all(t.shape[1:] == (31,) and 0.0 < t.min() and t.max() < 1.0 for t in calls)
         # one call per round: the first panel, then the two halves of each split
         rounds = len(calls)
         assert [t.shape[0] for t in calls] == [1] + [2] * (rounds - 1)
-        lo_x, hi_x = (np.polynomial.legendre.leggauss(n)[0] for n in (15, 31))
-        assert calls[0].tolist() == [((0.5 + 0.5 * np.concatenate((lo_x, hi_x))) ** 3).tolist()]
+        assert calls[0].tolist() == [((0.5 + 0.5 * _NODES) ** 3).tolist()]
         # the plain driver on the weighted integrand ``3 x^2 g(x^3)``, one call per panel
         weighted = _batch((lambda x: 3.0 * x * x * node(x**3),))
         values, bounds = _integrate_many(weighted, 1, spec)
