@@ -3,8 +3,9 @@
 Provides the fourth-order polylogarithm on the closed unit disk, as the
 scalar ``li4`` and as the private array kernel ``_li4_array``, a
 deterministic adaptive Gauss-Kronrod integrator on [0, 1], and a
-two-dimensional quadrature over the (angle, frequency) domain that runs both
-its integrals in one map, ``t = x**3`` and ``e^-s = x**3`` (`_cubed`).
+two-dimensional quadrature over the (angle, frequency) domain that runs its
+angle in ``t = x**3`` and its frequency in ``s = 2x / (1 - x)``
+(`_half_line`).
 
 ``li4`` costs a fixed few dozen terms per call anywhere on the disk.
 Below the switch radius ``|z| < 1/2`` it sums the defining series
@@ -29,7 +30,7 @@ new panels of every unfinished integral in one such call.  Both energy
 routes take their angular integral through `_integrate_floor`, in
 ``t = x**3``, whose integrand takes a whole round's nodes in one call; the
 2-D quadrature runs the inner integrals of all those nodes in lockstep, in
-the same map.
+``s = 2x / (1 - x)``, each from the two panels [0, 1/2] and [1/2, 1].
 """
 
 from __future__ import annotations
@@ -370,12 +371,16 @@ def _integrate_many(
     g: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
     m: int,
     spec: QuadratureSpec,
+    start: Tuple[float, ...] = (0.0, 1.0),
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Adaptive driver for ``m`` integrals over [0, 1] advanced in lockstep.
 
     Returns two arrays of length ``m``: the integrals and their total error
     bounds.  ``g(rows, x)`` evaluates integral ``rows[i]`` on row ``i`` of
-    ``x`` (shape ``(k, 31)``) as `_rules` describes.
+    ``x`` (shape ``(k, 31)``) as `_rules` describes.  Every integral starts
+    from the panels between consecutive breakpoints of ``start``, which runs
+    from 0 to 1; the first call holds the first of them for all ``m``
+    integrals, then the second, and so on.
 
     Each integral splits whichever of its panels carries the largest
     reducible error, the oldest of equal ones, until its summed error
@@ -397,7 +402,8 @@ def _integrate_many(
     totals = [0.0] * m
     bounds = [0.0] * m
     active = list(range(m))
-    todo = [(i, 0.0, 1.0) for i in active]  # (integral, panel ends)
+    # (integral, panel ends)
+    todo = [(i, pa, pb) for pa, pb in zip(start[:-1], start[1:]) for i in active]
     splits = 0  # every unfinished integral has split this many panels
     while todo:
         rows, lows, highs = (np.array(c) for c in zip(*todo))
@@ -440,29 +446,48 @@ def _integrate_many(
     return np.array(totals), np.array(bounds)
 
 
-def _cubed(g):
-    """``g(rows, u)`` in ``u = x**3``: ``3 x^2 g(rows, x^3)``, values and floors alike."""
-
-    def in_x(rows, x):
-        weight = 3.0 * x * x
-        return tuple(weight * part for part in g(rows, x**3))  # values, floors
-
-    return in_x
-
-
 def _integrate_floor(
     g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec
 ) -> Tuple[float, float]:
-    """``int_0^1 g(t) dt`` and its total error bound, taken in `_cubed`'s map.
+    """``int_0^1 g(t) dt`` and its total error bound, taken in ``t = x**3``.
 
     ``g(t)`` takes the ``(k, 31)`` nodes ``t`` of a whole round, one row per
     panel (one call per round), and returns their values and noise floors
-    stacked as ``(2, k, 31)``.  A sheet's reflections switch on near grazing
-    angle, TM near ``t = sigma / 2`` and TE near ``t = 2 / sigma``; the map
-    spreads those angles over more of [0, 1].
+    stacked as ``(2, k, 31)``; both are weighted by ``3 x^2``.  A sheet's
+    reflections switch on near grazing angle, TM near ``t = sigma / 2`` and
+    TE near ``t = 2 / sigma``; the map spreads those angles over more of
+    [0, 1].
     """
-    values, bounds = _integrate_many(_cubed(lambda rows, t: g(t)), 1, spec)
+
+    def in_x(rows, x):
+        weight = 3.0 * x * x
+        return tuple(weight * part for part in g(x**3))  # values, floors
+
+    values, bounds = _integrate_many(in_x, 1, spec)
     return float(values[0]), float(bounds[0])
+
+
+def _half_line(F):
+    """``int_0^inf s^2 F(rows, s) ds`` as an integrand of `_integrate_many`.
+
+    In ``s = 2x / (1 - x)``, with ``ds = 2 dx / (1 - x)^2``, the values are
+    ``2 s^2 F(rows, s) / (1 - x)^2`` and the floors zero.  ``1 - x`` is exact
+    on [1/2, 1], so ``s`` is accurate to rounding up to the last float below
+    1.  At ``x = 1`` itself, ``s`` is infinite and the value 0, the limit
+    for any ``F`` that decays exponentially; ``F`` sees ``s = 2`` there
+    instead, so no ``inf * 0`` is formed.
+    """
+
+    def in_x(rows, x):
+        y = 1.0 - x
+        end = y == 0.0
+        y[end] = 1.0
+        s = 2.0 * x / y
+        values = 2.0 * s * s * F(rows, s) / (y * y)
+        values[end] = 0.0
+        return values, np.zeros(x.shape)
+
+    return in_x
 
 
 def _integrate_2d_bound(
@@ -477,21 +502,22 @@ def _integrate_2d_bound(
     integrand values in the same shape.  ``s^2 F`` must be absolutely
     integrable, which in practice means ``F`` decays exponentially in ``s``.
 
-    Both integrals run in `_cubed`'s map: the outer one in `_integrate_floor`,
-    the inner ones, all the round's nodes in lockstep, on ``ln(u)^2 F(rows,
-    -ln u) / u`` with ``u = exp(-s)`` and no tail heuristics.  As ``s ->
-    inf``, ``F ~ -r r' u`` makes that ``-r r' ln(u)^2``, singular at ``u =
-    0``, but ``-27 r r' x^2 ln(x)^2`` in ``x``, which vanishes there.
+    The outer integral runs in `_integrate_floor`, the inner ones, all the
+    round's nodes in lockstep, in `_half_line`'s algebraic map of the half
+    line onto [0, 1] (QUADPACK's ``qagi`` maps it algebraically too), with no
+    tail heuristics.  ``s^2`` stays rational, so the map adds no logarithm
+    at either end: as ``s -> inf``, ``F ~ -r r' e^-s`` and the integrand in
+    ``x`` vanishes faster than any power of ``1 - x``; as ``s -> 0`` it goes
+    like ``8 x^2 F(2x)``.  (In ``e^-s = x**3``, ``s^2`` was ``9 ln(x)^2``
+    and the integrand ``-27 r r' x^2 ln(x)^2``, not analytic at ``x = 0``.)
+    The caller scales frequencies so that ``s^2 e^-s``, the shape of a
+    pair's integrand, peaks at ``s = 2``, ``x = 1/2``: each inner integral
+    starts from the two panels [0, 1/2] and [1/2, 1].
     """
     ispec = QuadratureSpec(spec.rel_tol * 0.1, spec.abs_tol * 0.1, spec.max_subdivisions)
 
     def inner(t: np.ndarray) -> np.ndarray:
-        F = f(t.ravel())
-
-        def h(rows: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            lg = np.log(u)
-            return lg * lg * F(rows, -lg) / u, np.zeros(u.shape)
-
-        return np.array(_integrate_many(_cubed(h), t.size, ispec)).reshape((2,) + t.shape)
+        result = _integrate_many(_half_line(f(t.ravel())), t.size, ispec, (0.0, 0.5, 1.0))
+        return np.array(result).reshape((2,) + t.shape)
 
     return _integrate_floor(inner, spec)

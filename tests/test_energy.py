@@ -58,15 +58,16 @@ GRAPHENE_RATIOS = {
 }
 
 
-def integrate_1d(g, spec):
+def integrate_1d(g, spec, start=(0.0, 1.0)):
     """``int_0^1 g(x) dx`` and its bound on the plain driver (no change of
-    variable); ``g`` takes one panel's nodes and returns values and floors."""
+    variable), from the panels between the breakpoints ``start``; ``g``
+    takes one panel's nodes and returns values and floors."""
 
     def one_per_panel(rows, x):
         pairs = [g(xi) for xi in x]
         return np.array([v for v, _ in pairs]), np.array([fl for _, fl in pairs])
 
-    values, bounds = _integrate_many(one_per_panel, 1, spec)
+    values, bounds = _integrate_many(one_per_panel, 1, spec, start)
     return float(values[0]), float(bounds[0])
 
 
@@ -78,6 +79,29 @@ def integrate_t(f):
 
 def uniform_stack(plates, gap=1.0):
     return StackSpec(tuple(plates), (gap,) * (len(plates) - 1))
+
+
+@pytest.fixture
+def delta_evaluations(monkeypatch):
+    """A function that solves a stack by quadrature and returns how many
+    Delta values the solve evaluated."""
+    import casimir_plates.energy as energy_mod
+
+    real_delta = energy_mod.delta_total
+    evaluations = [0]
+
+    def counted_delta(coeffs, geometry, s):
+        evaluations[0] += s.size
+        return real_delta(coeffs, geometry, s)
+
+    monkeypatch.setattr(energy_mod, "delta_total", counted_delta)
+
+    def solve(stack, spec):
+        evaluations[0] = 0
+        energy_ratio(stack, spec, method="quadrature")
+        return evaluations[0]
+
+    return solve
 
 
 class TestReferenceValues:
@@ -194,6 +218,28 @@ class TestIdealStacks:
         assert result.err_estimate < 1e-12
 
 
+# a grid for TestPathAgreement's check of the quadrature route against the
+# polylog route at (1e-12, 1e-15), which shares no inner integral with it
+GRID_STACKS = {
+    **{
+        f"sigma{sigma:g}-N{n}": uniform_stack([ConstantConductivity(sigma)] * n)
+        for sigma in (1e-3, 1.0, 1e3, 1e6)
+        for n in (2, 8, 16)
+    },
+    "PM-sigma2-sigma0.5": uniform_stack([PM, ConstantConductivity(2.0), ConstantConductivity(0.5)]),
+    "PE-generic-T-PM-gap1.5": uniform_stack(
+        [PE, GenericDeltaPlate(3.0, 1.0), Transparent(), PM], gap=1.5
+    ),
+    "generic-N3": uniform_stack(
+        [GenericDeltaPlate(1.0, 0.5), GenericDeltaPlate(3.0, 1.0), GenericDeltaPlate(0.5, 2.0)]
+    ),
+    "PE-PM": uniform_stack([PE, PM]),
+    "PE-N4": uniform_stack([PE] * 4),
+}
+GRID_SPECS = {"default": QuadratureSpec(), "curve": QuadratureSpec(1e-5, 1e-7)}
+WEAK_N16 = ("sigma0.001-N16", "default")  # a test of its own
+
+
 class TestPathAgreement:
     def _random_material(self, rng):
         kind = rng.integers(0, 10)
@@ -220,6 +266,29 @@ class TestPathAgreement:
             a = energy_ratio_polylog(stack, spec)
             b = energy_ratio_quadrature(stack, spec)
             assert abs(a.ratio - b.ratio) <= a.err_estimate + b.err_estimate
+
+    def assert_quadrature_covers_fine_polylog(self, stack, spec):
+        fine = energy_ratio_polylog(stack, QuadratureSpec(1e-12, 1e-15))
+        result = energy_ratio_quadrature(stack, spec)
+        assert abs(result.ratio - fine.ratio) <= result.err_estimate + fine.err_estimate
+
+    @pytest.mark.parametrize(
+        "stack, spec",
+        [
+            pytest.param(stack, spec, id=f"{name}-{spec_name}")
+            for name, stack in GRID_STACKS.items()
+            for spec_name, spec in GRID_SPECS.items()
+            if (name, spec_name) != WEAK_N16
+        ],
+    )
+    def test_quadrature_covers_fine_polylog(self, stack, spec):
+        self.assert_quadrature_covers_fine_polylog(stack, spec)
+
+    def test_weak_sheets_n16_at_the_default_spec(self):
+        # the slowest case of the grid, seconds long and near the subdivision
+        # budget; in e^-s = x**3 it ran out of subdivisions
+        name, spec_name = WEAK_N16
+        self.assert_quadrature_covers_fine_polylog(GRID_STACKS[name], GRID_SPECS[spec_name])
 
 
 class TestStructuralInvariants:
@@ -870,8 +939,9 @@ class TestQuadratureRoute:
         with pytest.raises(DeltaDomainError) as err:
             energy_ratio_quadrature(stack, QuadratureSpec(rel_tol=1e-6))
         message = str(err.value)
-        # the first call holds the first panel of all 31 nodes, row i at node i
-        assert rows_seen == [31]
+        # the first call holds the two start panels of all 31 nodes, [0, 1/2]
+        # of every node first, so row i holds node i
+        assert rows_seen == [62]
         assert "Delta = -0.25" in message
         assert message.endswith(": invalid coefficient regime")
         assert f"t={float(seen_t[0][1])!r}" in message
@@ -924,9 +994,9 @@ class TestQuadratureRoute:
     @pytest.mark.parametrize("plates, gaps", UNEQUAL_GAP_STACKS)
     def test_lockstep_equals_per_node_integrals(self, plates, gaps):
         # the route one node at a time: each inner integral on its own, with
-        # Delta on the 1-D array of one panel's frequencies, in u = e^-s =
-        # x**3 with its weight 3 x**2, and the outer integral in t = x**3
-        # with the same weight
+        # Delta on the 1-D array of one panel's frequencies, in s = 2x / (1 - x)
+        # with its weight 2 / (1 - x)**2 from the panels [0, 1/2] and [1/2, 1],
+        # and the outer integral in t = x**3 with its weight 3 x**2 from [0, 1]
         from casimir_plates.scattering import (
             NodeCoefficients,
             StackGeometry,
@@ -946,14 +1016,14 @@ class TestQuadratureRoute:
                 pair.append(NodeCoefficients(r, t_coef))
 
             def h(x):
-                u = x**3
-                lg = np.log(u)
+                y = 1.0 - x
+                s = 2.0 * x / y
                 total = 0.0
                 for coeffs in pair:
-                    total = total + np.log(delta_total(coeffs, geometry, -lg))
-                return 3.0 * x * x * (lg * lg * total / u), np.zeros(u.shape)
+                    total = total + np.log(delta_total(coeffs, geometry, s))
+                return 2.0 * s * s * total / (y * y), np.zeros(x.shape)
 
-            return integrate_1d(h, inner_spec)
+            return integrate_1d(h, inner_spec, (0.0, 0.5, 1.0))
 
         value, bound = integrate_1d(
             lambda x: 3.0 * x * x * np.array([node(t) for t in x**3]).T, spec
@@ -992,42 +1062,29 @@ class TestQuadratureRoute:
         result = energy_ratio_quadrature(StackSpec(plates, gaps), QuadratureSpec(1e-6, 1e-12))
         assert abs(result.ratio - reference) <= result.err_estimate + unc
 
-    def test_inner_map_resolves_the_high_frequency_end(self, monkeypatch):
-        # machine-independent: the Delta evaluations one solve needs.  In
-        # u = e^-s the inner integrand is -r r' ln(u)^2 near u = 0, which the
+    # machine-independent ceilings: the Delta evaluations of graphene x3 at
+    # gaps (1, 2) by quadrature at (1e-6, 1e-12)
+    GRAPHENE_GAPS_12 = StackSpec((GRAPHENE,) * 3, (1.0, 2.0))
+
+    def test_inner_map_resolves_the_high_frequency_end(self, delta_evaluations):
+        # in u = e^-s the inner integrand is -r r' ln(u)^2 near u = 0, which the
         # driver can only resolve by bisecting toward 0 (495,144 evaluations
-        # here); in u = x**3 it vanishes there (66,056)
-        import casimir_plates.energy as energy_mod
+        # here); in s = 2x / (1 - x) it vanishes faster than any power of
+        # 1 - x at x = 1, the infinite-frequency end (11,532)
+        assert 0 < delta_evaluations(self.GRAPHENE_GAPS_12, QuadratureSpec(1e-6, 1e-12)) <= 150_000
 
-        real_delta = energy_mod.delta_total
-        evaluations = [0]
+    def test_kronrod_rule_shares_the_gauss_nodes(self, delta_evaluations):
+        # the 31-point Kronrod rule reuses the 15 Gauss nodes, where separate
+        # 15- and 31-point Gauss rules took 46 per panel (66,056 evaluations
+        # in e^-s = x**3); it needs 30,070 there
+        assert 0 < delta_evaluations(self.GRAPHENE_GAPS_12, QuadratureSpec(1e-6, 1e-12)) <= 35_000
 
-        def counted_delta(coeffs, geometry, s):
-            evaluations[0] += s.size
-            return real_delta(coeffs, geometry, s)
-
-        monkeypatch.setattr(energy_mod, "delta_total", counted_delta)
-        stack = StackSpec((GRAPHENE,) * 3, (1.0, 2.0))
-        energy_ratio(stack, QuadratureSpec(1e-6, 1e-12), method="quadrature")
-        assert 0 < evaluations[0] <= 150_000
-
-    def test_kronrod_rule_shares_the_gauss_nodes(self, monkeypatch):
-        # machine-independent: the 31-point Kronrod rule reuses the 15 Gauss
-        # nodes, where separate 15- and 31-point Gauss rules took 46 per
-        # panel (66,056 evaluations here); it needs 30,070
-        import casimir_plates.energy as energy_mod
-
-        real_delta = energy_mod.delta_total
-        evaluations = [0]
-
-        def counted_delta(coeffs, geometry, s):
-            evaluations[0] += s.size
-            return real_delta(coeffs, geometry, s)
-
-        monkeypatch.setattr(energy_mod, "delta_total", counted_delta)
-        stack = StackSpec((GRAPHENE,) * 3, (1.0, 2.0))
-        energy_ratio(stack, QuadratureSpec(1e-6, 1e-12), method="quadrature")
-        assert 0 < evaluations[0] <= 35_000
+    def test_algebraic_map_is_smooth_at_both_ends(self, delta_evaluations):
+        # in e^-s = x**3 the inner integrand goes like -27 r r' x^2 ln(x)^2,
+        # not analytic at x = 0, and most splits bisect toward 0 (30,070
+        # evaluations); in s = 2x / (1 - x), from [0, 1/2] and [1/2, 1], s^2
+        # stays rational and the integrand smooth at both ends (11,532)
+        assert 0 < delta_evaluations(self.GRAPHENE_GAPS_12, QuadratureSpec(1e-6, 1e-12)) <= 15_000
 
 
 class TestStrongCouplingBound:

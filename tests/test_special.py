@@ -22,6 +22,7 @@ from casimir_plates.special import (
     _K31_WEIGHTS,
     _NODES,
     _SUM_ROUNDING,
+    _half_line,
     _integrate_2d_bound,
     _integrate_floor,
     _integrate_many,
@@ -391,9 +392,10 @@ def _batch(family, calls=None):
     return g
 
 
-def _sequential_integral(f, spec):
-    """One integral by a plain loop: per panel the 31 Kronrod nodes, each rule
-    summed node by node, worst panel split first, ties to the older panel."""
+def _sequential_integral(f, spec, start=(0.0, 1.0)):
+    """One integral by a plain loop from the panels between the breakpoints
+    ``start``: per panel the 31 Kronrod nodes, each rule summed node by node,
+    worst panel split first, ties to the older panel."""
 
     def panel(pa, pb):
         mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
@@ -406,8 +408,9 @@ def _sequential_integral(f, spec):
             fl += wi * (fe + _SUM_ROUNDING * abs(v))
         return half * hi, abs(half * (hi - lo)), half * fl
 
-    panels = {0: (0.0, 1.0, *panel(0.0, 1.0))}
-    made = 1
+    ends = zip(start[:-1], start[1:])
+    panels = {j: (pa, pb, *panel(pa, pb)) for j, (pa, pb) in enumerate(ends)}
+    made = len(panels)
     while True:
         value = error = floor = 0.0
         for _, _, pi, pe, pf in panels.values():
@@ -451,6 +454,21 @@ class TestIntegrateMany:
             expected.append(_sequential_integral(counted, spec))
             calls.append(len(n))
         assert len(set(calls)) >= 4  # the integrals finish in different rounds
+        assert list(zip(values.tolist(), bounds.tolist())) == expected
+
+    def test_start_partition_equals_a_plain_sequential_loop(self):
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
+        start = (0.0, 0.5, 1.0)
+        shapes, rows = [], []
+        g = _batch(self.FAMILY, shapes)
+        values, bounds = _integrate_many(
+            lambda r, x: rows.append(r.tolist()) or g(r, x), len(self.FAMILY), spec, start
+        )
+        # the first call holds [0, 1/2] of every integral, then [1/2, 1]
+        m = len(self.FAMILY)
+        assert shapes[0] == (2 * m, 31)
+        assert rows[0] == list(range(m)) * 2
+        expected = [_sequential_integral(f, spec, start) for f in self.FAMILY]
         assert list(zip(values.tolist(), bounds.tolist())) == expected
 
     def test_noise_floor_integral_stops_short_of_tolerance(self):
@@ -573,6 +591,26 @@ class TestAngularIntegral:
         values, bounds = _integrate_many(weighted, 1, spec)
         assert len(calls) == rounds + 1 + 2 * (rounds - 1)
         assert (value, bound) == (float(values[0]), float(bounds[0]))
+
+
+class TestHalfLine:
+    """`_half_line`: ``int_0^inf s^2 F ds`` in ``s = 2x / (1 - x)``."""
+
+    def test_finite_at_both_ends(self):
+        # at x = 1, s is infinite, 1 / (1 - x) too, and F vanishes; the
+        # suite's RuntimeWarning filter fails on any inf * 0 formed here
+        x = np.array([[0.0, 1.0 - 2.0**-53, 1.0]])
+        values, floors = _half_line(lambda rows, s: -np.exp(-s))(np.array([0]), x)
+        assert np.isfinite(values).all()
+        assert values[0, 2] == 0.0
+        assert floors.tolist() == [[0.0, 0.0, 0.0]]
+
+    def test_values_are_the_weighted_integrand(self):
+        x = np.array([[0.25, 0.5, 0.75]])
+        values, _ = _half_line(lambda rows, s: -np.exp(-s))(np.array([0]), x)
+        s = 2.0 * x / (1.0 - x)
+        assert values.tolist() == (2.0 * s * s * -np.exp(-s) / (1.0 - x) ** 2).tolist()
+        assert s.tolist() == [[2.0 / 3.0, 2.0, 6.0]]
 
 
 def _kernel(f):
