@@ -71,7 +71,7 @@ C_LIGHT = 2.99792458e8
 _PREFACTOR_POLYLOG = 45.0 / math.pi**4
 _PREFACTOR_QUAD = -45.0 / (2.0 * math.pi**4)
 
-# The error bound `li4` states, charged to a node once per Li4 term.
+# The error bound of the Li4 kernel `_li4_array`, charged to a node once per Li4 term.
 _LI4_ERROR = 1e-14
 
 # The evaluation routes `energy_ratio` accepts.

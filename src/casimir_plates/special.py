@@ -1,22 +1,22 @@
 """Special functions and adaptive quadrature.
 
 Provides the fourth-order polylogarithm on the closed unit disk, as the
-scalar ``li4`` and as the private array kernel ``_li4_array``, a
-deterministic adaptive Gauss-Kronrod integrator on [0, 1], and a
+private array kernel ``_li4_array`` and its 0-d case, the scalar ``li4``,
+a deterministic adaptive Gauss-Kronrod integrator on [0, 1], and a
 two-dimensional quadrature over the (angle, frequency) domain that runs its
 angle in ``t = x**3`` and its frequency in ``s = 2x / (1 - x)``
 (`_half_line`).
 
-``li4`` costs a fixed few dozen terms per call anywhere on the disk.
-Below the switch radius ``|z| < 1/2`` it sums the defining series
-``sum_k z^k / k^4`` (34 terms, relative truncation error below 1e-16).
-From ``|z| = 1/2`` up to and including the unit circle it sums the
-expansion in ``mu = ln z`` around ``z = 1`` (Crandall, "Note on fast
-polylogarithm computation", 2006), which converges like ``(|mu| / 2 pi)^m``
-with ``|mu| / 2 pi <= 0.513`` there; truncated after ``mu^45``, its tail is
-below 4e-18.  ``_li4_array`` sums the same two series on a whole array in
-a fixed number of numpy calls; it stays within 1e-14 of ``li4`` but is not
-bit-identical to it.
+Li4 costs a fixed few dozen terms per element anywhere on the disk, in a
+fixed number of numpy calls per array.  Below the switch radius
+``|z| < 1/2`` it sums the defining series ``sum_k z^k / k^4`` (34 terms,
+relative truncation error below 1e-16).  From ``|z| = 1/2`` up to and
+including the unit circle it sums the expansion in ``mu = ln z`` around
+``z = 1`` (Crandall, "Note on fast polylogarithm computation", 2006),
+which converges like ``(|mu| / 2 pi)^m`` with ``|mu| / 2 pi <= 0.513``
+there; truncated after ``mu^45``, its tail is below 4e-18.  The total
+error stays below 1e-14; on the real axis ``z = 1`` and ``z = -1`` are
+exact, and a real ``x`` in (-1, -1/2] errs by up to about 3.4e-15.
 
 The integrators use open rules only (no endpoint evaluations), subdivide
 worst-panel-first, the oldest of equal panels first, and sum results in a
@@ -35,8 +35,8 @@ routes take their angular integral through `_integrate_floor`, in
 
 from __future__ import annotations
 
-import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -62,13 +62,13 @@ _HALF_ZETA2 = math.pi**2 / 12.0
 # Li4 switches from the defining series to the log-series at this radius.
 _SERIES_RADIUS = 0.5
 
-# Defining series: at |z| < 1/2 the tail after K = 34 terms,
-# |z|^(K+1) / ((K+1)^4 (1 - |z|)), is below 1e-16 |Li4(z)|.
-_INV_K4 = tuple(1.0 / k**4 for k in range(34, 0, -1))  # highest power first
+# Defining series, coefficients of z^1 ... z^34: at |z| < 1/2 the tail after
+# K = 34 terms, |z|^(K+1) / ((K+1)^4 (1 - |z|)), is below 1e-16 |Li4(z)|.
+_SERIES_VECTOR = np.array([1.0 / k**4 for k in range(1, 35)])
 
 
-def _log_series_odd_coeffs(kmax: int) -> Tuple[float, ...]:
-    """``zeta(1 - 2k) / (2k + 3)!`` for ``k = kmax, ..., 1``, highest first.
+def _log_series_odd_coeffs(kmax: int) -> np.ndarray:
+    """``zeta(1 - 2k) / (2k + 3)!`` for ``k = 1, ..., kmax``.
 
     With ``zeta(1 - 2k) = -B_2k / 2k`` and ``B_2k = (-1)^(k-1) 2k T_k /
     (4^k (4^k - 1))``, where ``T_k`` is the k-th tangent number, each
@@ -83,23 +83,26 @@ def _log_series_odd_coeffs(kmax: int) -> Tuple[float, ...]:
     for k in range(2, kmax + 1):
         for j in range(k, kmax + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return tuple(
+    return np.array([
         (-1) ** k * t[k] / (4**k * (4**k - 1) * math.factorial(2 * k + 3))
-        for k in range(kmax, 0, -1)
-    )
+        for k in range(1, kmax + 1)
+    ])
 
 
 # Log-series coefficients of mu^5, mu^7, ..., mu^45 (the even powers above
 # mu^4 vanish).  On |z| >= 1/2, |mu| <= (ln(2)^2 + pi^2)^(1/2) < 3.218 and
 # the omitted tail from mu^47 on is below 4e-18.
-_LOG_SERIES_ODD = _log_series_odd_coeffs(21)
+_LOG_SERIES_VECTOR = _log_series_odd_coeffs(21)
 
 _OVERSHOOT = 1e-12
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and subdivision budget for the adaptive integrators."""
+    """Tolerances and subdivision budget for the adaptive integrators.
+
+    The budget is an integer of at least 1: under NaN, say, a solve that
+    cannot converge would never stop."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -111,8 +114,9 @@ class QuadratureSpec:
                 f"tolerances must be positive and finite, got rel_tol={self.rel_tol!r}, "
                 f"abs_tol={self.abs_tol!r}"
             )
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        budget = self.max_subdivisions
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+            raise ValueError(f"max_subdivisions must be an integer of at least 1, got {budget!r}")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -132,107 +136,18 @@ class QuadratureConvergenceError(RuntimeError):
         self.error_bound = error_bound
 
 
-def _series(z):
-    """Defining series ``sum_{k<=34} z^k / k^4`` by Horner's rule."""
-    acc = 0.0
-    for c in _INV_K4:
-        acc = acc * z + c
-    return acc * z
-
-
 def _log_series_head(mu, log_neg_mu, odd):
     """``Li4(e^mu)`` from the sum ``odd`` of its terms in ``mu^5, mu^7, ...``.
 
     ``sum_{m != 3} zeta(4 - m) mu^m / m! + mu^3 / 6 (H_3 - ln(-mu))`` with
-    ``H_3 = 11/6``, where ``odd = sum_k _LOG_SERIES_ODD[-k] mu^(2k - 2)``
+    ``H_3 = 11/6``, where ``odd = sum_k _LOG_SERIES_VECTOR[k] mu^(2k)``
     carries every term above ``mu^4``; ``log_neg_mu`` is ``ln(-mu)`` on the
-    principal branch.  Works on floats, complex numbers and arrays alike.
+    principal branch.
     """
     acc = -1.0 / 48.0 + mu * odd  # zeta(0) / 4! = -1/48
     acc = (11.0 / 6.0 - log_neg_mu) / 6.0 + mu * acc
     acc = _HALF_ZETA2 + mu * acc
     return ZETA4 + mu * (_ZETA3 + mu * acc)
-
-
-def _log_series(mu, log_neg_mu):
-    """``Li4(e^mu)`` for ``|mu| < 3.22``, given ``ln(-mu)`` on the principal
-    branch, with the terms above ``mu^4`` summed by Horner's rule."""
-    mu2 = mu * mu
-    acc = 0.0
-    for c in _LOG_SERIES_ODD:
-        acc = acc * mu2 + c
-    return _log_series_head(mu, log_neg_mu, acc)
-
-
-def _li4_real(x: float) -> float:
-    """Li4 of a real ``x`` in [-1, 1], in real arithmetic."""
-    if x == 1.0:
-        return ZETA4
-    if x == -1.0:
-        return LI4_MINUS_ONE
-    if x <= -_SERIES_RADIUS:
-        # duplication: Li4(x) + Li4(-x) = Li4(x^2) / 8, with -x in (1/2, 1)
-        return _li4_real(x * x) / 8.0 - _li4_real(-x)
-    if x < _SERIES_RADIUS:
-        return _series(x)
-    mu = math.log(x)
-    return _log_series(mu, math.log(-mu))
-
-
-def _outside_disk(az: float) -> ValueError:
-    """The error `li4` and `_li4_array` raise for an argument of modulus ``az``."""
-    return ValueError(f"li4 argument outside the unit disk: |z| = {az!r}")
-
-
-def li4(z):
-    """Fourth-order polylogarithm ``Li4(z)`` for ``|z| <= 1``.
-
-    Two branches, each a fixed few dozen terms.  For ``|z| < 1/2`` it sums
-    the defining series ``sum_k z^k / k^4`` to 34 terms (relative
-    truncation error below 1e-16).  For ``|z| >= 1/2``, up to and
-    including the unit circle, it sums the expansion in ``mu = ln z``
-    around ``z = 1`` to ``mu^45`` (truncation error below 4e-18).  A
-    negative real ``x <= -1/2`` goes through ``Li4(x^2) / 8 - Li4(-x)``,
-    so real arguments stay in real arithmetic.  The total error is below
-    1e-14 everywhere on the closed disk.
-
-    It gives the energy's frequency integral in closed form: expanding the
-    logarithm and integrating term by term, ``int_0^inf s^2 ln(1 - c e^-s)
-    ds = -2 Li4(c)`` for ``|c| <= 1``.
-
-    A real argument returns a float, a complex argument a complex;
-    ``li4(conj(z)) == conj(li4(z))`` bit for bit, because the lower half
-    plane is evaluated as the conjugate of the upper one.
-
-    Raises
-    ------
-    ValueError
-        If ``|z|`` exceeds ``1 + 1e-12`` (smaller overshoots are projected
-        back onto the unit circle).
-    """
-    is_complex = isinstance(z, complex)
-    zc = complex(z)
-    az = abs(zc)
-    if az > 1.0 + _OVERSHOOT:
-        raise _outside_disk(az)
-    if az > 1.0:
-        zc /= az
-    if zc.imag == 0.0:
-        v = _li4_real(zc.real)
-        return complex(v) if is_complex else v
-    upper = zc if zc.imag > 0.0 else zc.conjugate()
-    if az < _SERIES_RADIUS:
-        v = _series(upper)
-    else:
-        mu = cmath.log(upper)
-        v = _log_series(mu, cmath.log(-mu))
-    return v if zc.imag > 0.0 else v.conjugate()
-
-
-# The coefficient tables as vectors, lowest power first: z^1 ... z^34, and
-# mu^5, mu^7, ..., mu^45.
-_SERIES_VECTOR = np.array(_INV_K4[::-1])
-_LOG_SERIES_VECTOR = np.array(_LOG_SERIES_ODD[::-1])
 
 
 def _power_table(x: np.ndarray, n: int) -> np.ndarray:
@@ -252,29 +167,29 @@ def _contract(powers: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 def _li4_array(z) -> np.ndarray:
     """``Li4`` of every element of a real or complex array on the closed unit disk.
 
-    The array form of `li4`, with its switch radius, coefficient tables and
-    overshoot rule; returns a complex array of the same shape.  The
-    elements on either side of the switch radius are gathered into one
-    vector each, whose series is its power table (``z^k``, ``k <= 34``, or
-    ``(mu^2)^k``, ``k <= 20``) contracted with the coefficients.
-    ``mu = ln min(|z|, 1) + i arg z`` puts an overshoot on the unit circle,
-    as `li4` does, and ``z = 1`` gives ``ZETA4``.  A real ``x <= -1/2``
-    takes the log series like a complex argument, not `li4`'s duplication
-    formula, so its error there reaches 2.6e-15 where `li4`'s stays below
-    5e-16.  Each value depends only on its own element, so a row gives the
-    same bits alone as inside a stack.
+    The one Li4 kernel; `li4` is its 0-d case.  Returns a complex array of
+    the same shape.  The elements on either side of the switch radius
+    ``|z| = 1/2`` are gathered into one vector each, whose series is its
+    power table (``z^k``, ``k <= 34``, or ``(mu^2)^k``, ``k <= 20``)
+    contracted with the coefficients.  ``mu = ln min(|z|, 1) + i arg z``
+    projects an overshoot onto the unit circle.  A real ``z`` on or past
+    the circle gives ``ZETA4`` at ``+1`` and ``LI4_MINUS_ONE`` at ``-1``
+    exactly.  Any other real ``x <= -1/2`` takes the log series like a
+    complex argument, with an error of up to about 3.4e-15.  Each value
+    depends only on its own element, so a row gives the same bits alone as
+    inside a stack.
 
     Raises
     ------
     ValueError
         If some ``|z|`` exceeds ``1 + 1e-12``, naming the first such element
-        in C order with `li4`'s message.
+        in C order.
     """
     z = np.asarray(z, dtype=complex)
     az = np.abs(z)
     outside = az > 1.0 + _OVERSHOOT
     if outside.any():
-        raise _outside_disk(az[outside][0].item())
+        raise ValueError(f"li4 argument outside the unit disk: |z| = {az[outside][0].item()!r}")
     values = np.empty(z.shape, complex)
     inner = az < _SERIES_RADIUS
     values[inner] = _contract(_power_table(z[inner], _SERIES_VECTOR.size), _SERIES_VECTOR)
@@ -284,8 +199,37 @@ def _li4_array(z) -> np.ndarray:
     mu2_powers = _power_table(mu * mu, _LOG_SERIES_VECTOR.size - 1)
     odd = _LOG_SERIES_VECTOR[0] + _contract(mu2_powers, _LOG_SERIES_VECTOR[1:])
     with np.errstate(divide="ignore", invalid="ignore"):  # ln(-mu) is infinite at z = 1
-        values[outer] = np.where(mu == 0.0, ZETA4, _log_series_head(mu, np.log(-mu), odd))
+        values[outer] = _log_series_head(mu, np.log(-mu), odd)
+    axis = az >= 1.0
+    if axis.any():  # z = +-1 after the projection, where z = 1 gave NaN above
+        axis &= z.imag == 0.0
+        values[axis] = np.where(z.real[axis] > 0.0, ZETA4, LI4_MINUS_ONE)
     return values
+
+
+def li4(z):
+    """Fourth-order polylogarithm ``Li4(z)`` for ``|z| <= 1``.
+
+    The array kernel `_li4_array` applied to one value, with its series
+    and its error below 1e-14 on the closed disk (module docstring).
+    ``x = 1`` and ``x = -1`` are exact; a real ``x`` in (-1, -1/2] errs by
+    up to about 3.4e-15, inside that bound.
+
+    It gives the energy's frequency integral in closed form: expanding the
+    logarithm and integrating term by term, ``int_0^inf s^2 ln(1 - c e^-s)
+    ds = -2 Li4(c)`` for ``|c| <= 1``.
+
+    A real argument returns a float, a complex argument a complex;
+    ``li4(conj(z)) == conj(li4(z))`` bit for bit.
+
+    Raises
+    ------
+    ValueError
+        If ``|z|`` exceeds ``1 + 1e-12`` (smaller overshoots are projected
+        back onto the unit circle).
+    """
+    v = _li4_array(z)[()]
+    return complex(v) if isinstance(z, complex) else float(v.real)
 
 
 # ---------------------------------------------------------------------------

@@ -1114,3 +1114,21 @@ class TestStrongCouplingBound:
         stack = uniform_stack([ConstantConductivity(1e6)] * n)
         result = energy_ratio_quadrature(stack, QuadratureSpec(1e-5, 1e-7))
         assert abs(result.ratio - reference) <= result.err_estimate + unc
+
+    # perfbench/references.py's pair_ratio, apart from the package: mpmath's
+    # 1-D integral over Li4(r r'), called as
+    # pair_ratio([("sigma", 10**9.2)] * 2, 1.0); (ratio, uncertainty)
+    SIGMA_9_2_REFERENCE = (0.9999999714820539, 8.9e-16)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the TE reflection switches on at t = 2 / sigma, below "
+        "the nodes of the first angular panel, so the estimate misses the error",
+    )
+    @pytest.mark.parametrize(
+        "route", [energy_ratio_polylog, energy_ratio_quadrature], ids=["polylog", "quadrature"]
+    )
+    def test_bound_holds_at_sigma_10_to_the_9_2(self, route):
+        reference, unc = self.SIGMA_9_2_REFERENCE
+        result = route(StackSpec((ConstantConductivity(10**9.2),) * 2, (1.0,)))
+        assert abs(result.ratio - reference) <= result.err_estimate + unc

@@ -228,6 +228,19 @@ class TestLi4Array:
         for x, v in zip(z[1].tolist(), stacked[1].tolist()):
             assert _li4_array(x) == v
 
+    def test_li4_is_the_kernel_at_one_value(self):
+        for z in self.POINTS.tolist():
+            kernel = _li4_array(np.array(z))[()]
+            assert np.array(li4(z)).tobytes() == kernel.tobytes(), z
+            kernel = _li4_array(np.array(z.real))[()]
+            assert np.array(li4(z.real)).tobytes() == kernel.real.tobytes(), z.real
+
+    def test_minus_one_exact_after_the_projection(self):
+        x = np.array([-1.0, -(1.0 + 5e-13)])
+        assert _li4_array(x).tolist() == [LI4_MINUS_ONE] * 2
+        assert _li4_array(x + 0j).tolist() == [LI4_MINUS_ONE] * 2
+        assert _li4_array((x + 0j).conj()).tolist() == [LI4_MINUS_ONE] * 2
+
 
 class TestSIntegral:
     """``int_0^inf s^2 ln(1 - c e^-s) ds = -2 Li4(c)``, as `li4` states."""
@@ -374,6 +387,11 @@ class TestIntegrateT:
             QuadratureSpec(rel_tol=math.inf)
         with pytest.raises(ValueError, match="finite"):
             QuadratureSpec(abs_tol=math.inf)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5, True])
+    def test_subdivision_budget_must_be_a_positive_integer(self, budget):
+        with pytest.raises(ValueError, match="max_subdivisions"):
+            QuadratureSpec(max_subdivisions=budget)
 
 
 def _peak(width, centre):
