@@ -231,30 +231,46 @@ def _check_sweep(template: StackSpec, shared: bool, grid: Sequence[float]) -> No
         raise ValueError("conductivities are non-negative")
 
 
-def _coefficient_tables(stack: StackSpec, t: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
-    """Per polarization, the ``(r, t_coef)`` tables of shape ``(N,) + t.shape``.
+def _coefficient_tables(stack: StackSpec, t: np.ndarray) -> np.ndarray:
+    """The amplitudes of every plate at the nodes ``t``, in one table.
 
-    Index ``i`` of the first axis belongs to plate ``i``, the rest to the
-    nodes ``t``; each table comes from one `coefficients` call per plate.
+    Shape ``(2,) + t.shape[:-1] + (2, t.shape[-1], N)``: ``r``, then
+    ``t_coef``; the panels of ``t``; the polarizations TM and TE, next to
+    the node axis; the nodes; the plates, last, as `round_trip_matrix`
+    takes them.  `coefficients` runs once per polarization and distinct
+    plate, on all nodes at once.  A plate with the ``repr`` of an earlier
+    one copies its columns: equal plates with equal floats, down to the
+    sign of a zero (``ConstantConductivity(-0.0) == ConstantConductivity(0.0)``,
+    but its TE ``r`` is ``+0.0`` where the other's is ``-0.0``).
     """
-    return [
-        tuple(np.array(c) for c in zip(*(coefficients(p, pol, t) for p in stack.plates)))
-        for pol in Polarization
-    ]
+    first = {}
+    source = [first.setdefault(repr(plate), i) for i, plate in enumerate(stack.plates)]
+    table = np.empty((2,) + t.shape[:-1] + (2, t.shape[-1], len(source)))
+    for p, pol in enumerate(Polarization):
+        for i, (plate, j) in enumerate(zip(stack.plates, source)):
+            table[..., p, :, i] = coefficients(plate, pol, t) if j == i else table[..., p, :, j]
+    return table
 
 
 def _inverse_roots(m: np.ndarray) -> np.ndarray:
     """Inverse roots ``w = 1/x`` of Delta: the eigenvalues of its round-trip matrix.
 
     ``Delta(x) = det(I - x M) = prod_i (1 - w_i x)`` (see
-    `round_trip_matrix`); for a ``(k, N-1, N-1)`` stack of them, row ``j``
-    holds those of ``m[j]``.  LAPACK returns each non-real eigenvalue of the
-    real ``M`` next to its exact conjugate, as `_li4_root_sum` needs.  The
-    eigenvalues are backward stable in the entries of ``M``, each a sum of
-    at most two products of two amplitudes; unlike the roots of Delta
-    multiplied out into coefficients, they do not inherit the rounding of
-    those coefficients, which spreads the root cluster near ``t -> 0``.
+    `round_trip_matrix`); for a ``(..., n, n)`` stack of them, row ``j``
+    of the ``(..., n)`` result holds those of one matrix.  LAPACK returns
+    each non-real eigenvalue of the real ``M`` right after its exact
+    conjugate, which `_li4_root_sum` relies on.  A 1x1 ``M`` returns its
+    entry, LAPACK's bits, unless ``dgeev`` would rescale it: a nonzero norm
+    below ``2**-459`` or above ``2**459`` goes to LAPACK.  The eigenvalues
+    are backward stable in the entries of ``M``, each a sum of at most two
+    products of two amplitudes; unlike the roots of Delta multiplied out
+    into coefficients, they do not inherit the rounding of those
+    coefficients, which spreads the root cluster near ``t -> 0``.
     """
+    if m.shape[-1] == 1:
+        a = np.abs(m[..., 0])
+        if np.all((a == 0.0) | ((a >= 2.0**-459) & (a <= 2.0**459))):
+            return m[..., 0]
     return np.linalg.eigvals(m)
 
 
@@ -262,33 +278,44 @@ def _li4_root_sum(w: np.ndarray) -> np.ndarray:
     """Sums of Li4 over the last axis of an array of eigenvalues of real matrices.
 
     ``w`` has shape ``(..., n)``, each row the eigenvalues of one real
-    matrix; returns shape ``(...)``.  One `_li4_array` call serves every
-    row.  A row's non-real eigenvalues come in conjugate pairs, whose Li4
-    values are conjugate too, so the sum is real and each row adds the real
-    parts of its Li4 values.
+    matrix as `_inverse_roots` orders them; returns shape ``(...)``.  A
+    row's non-real eigenvalues come in conjugate pairs, whose Li4 values
+    are conjugate too, so the sum is real and each row adds the real parts
+    of its Li4 values.  One `_li4_array` call serves every row, but only
+    the eigenvalues with ``imag >= 0``: one with ``imag < 0`` follows its
+    conjugate, whose real part it copies (`_li4_array` is exactly
+    conjugation-symmetric).
 
     Raises
     ------
     ValueError
         If an eigenvalue lies outside the unit disk, as `li4` refuses it.
     """
-    return _li4_array(w).real.sum(axis=-1)
+    conjugates = w.imag[..., 1:] < 0.0
+    if not conjugates.any():
+        return _li4_array(w).real.sum(axis=-1)
+    own = np.ones(w.shape, bool)
+    own[..., 1:] = ~conjugates
+    parts = np.empty(w.shape)
+    parts[own] = _li4_array(w[own]).real
+    parts[..., 1:][conjugates] = parts[..., :-1][conjugates]
+    return parts.sum(axis=-1)
 
 
 def _polylog_panel(stack: StackSpec, t: np.ndarray) -> np.ndarray:
     """Node values ``sum_pol sum_i Li4(w_i)`` and their floors at the nodes ``t``.
 
     ``t`` holds nodes on its last axis, panels on any before it; returns
-    shape ``(2,) + t.shape``: values, then floors.  The polarizations' tables
-    are stacked next to the node axis, so one `_inverse_roots` call and one
-    `_li4_root_sum` call serve every panel, polarization and node.  An
-    opaque plate makes ``M`` block diagonal, with the segments' eigenvalues,
-    so it needs no special case.  The floor is the error bound of `li4`, once
-    per eigenvalue.  An eigenvalue outside the unit disk (``li4`` refuses
+    shape ``(2,) + t.shape``: values, then floors.  The coefficient table
+    holds both polarizations next to the node axis, so one `_inverse_roots`
+    call and one `_li4_root_sum` call serve every panel, polarization and
+    node.  An opaque plate makes ``M`` block diagonal, with the segments'
+    eigenvalues, so it needs no special case.  The floor is the error bound
+    of `li4`, once per eigenvalue.  An eigenvalue outside the unit disk (``li4`` refuses
     ``|w| > 1 + 1e-12``) raises `UnitDiskRootError` naming the first node
     that holds one, in the order panel, polarization, node.
     """
-    r, t_coef = (np.stack(part, axis=-2) for part in zip(*_coefficient_tables(stack, t)))
+    r, t_coef = _coefficient_tables(stack, t)
     w = _inverse_roots(round_trip_matrix(r, t_coef))  # (..., pol, node, N-1)
     try:
         sums = _li4_root_sum(w)
@@ -339,11 +366,12 @@ def energy_ratio_quadrature(
     geometry = StackGeometry(tuple(g / g_min for g in stack.gaps))
 
     def log_delta(t: np.ndarray):
-        tables = _coefficient_tables(stack, t)  # (N, k) per polarization, k nodes
+        # r and t_coef of each polarization as (N, k) views, k nodes
+        tables = np.swapaxes(_coefficient_tables(stack, t), -1, -2)
 
         def block(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
             total = 0.0
-            for r, tc in tables:
+            for r, tc in zip(*tables):
                 d = delta_total((r[:, rows], tc[:, rows]), geometry, s)
                 bad = d <= 0.0
                 if bad.any():

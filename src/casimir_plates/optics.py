@@ -10,10 +10,10 @@ The amplitudes are evaluated on the Euclidean frequency axis at angular
 nodes ``t = zeta/kappa`` in [0, 1], the cosine of the polar angle in the
 (frequency, transverse-momentum) plane.  `coefficients` takes one node or
 an array of them and returns arrays shaped like ``t``; both evaluation
-routes call it once per plate and polarization with all nodes of an
-integration panel, so the material dispatch runs once per panel rather
-than once per node.  All quantities are in Heaviside-Lorentz natural units
-and dimensionless.
+routes call it once per distinct plate and polarization with all nodes of
+a round of the angular integral, so the material dispatch runs once per
+round rather than once per node, and equal plates share one call.  All
+quantities are in Heaviside-Lorentz natural units and dimensionless.
 """
 
 from __future__ import annotations

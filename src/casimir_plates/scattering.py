@@ -211,15 +211,24 @@ def round_trip_matrix(r, t) -> np.ndarray:
     and Kardar (PRL 99, 2007); the eigenvalues of ``M`` are the inverse
     roots of Delta in ``x``.
 
-    Given the ``(N, k)`` tables of k nodes instead, it returns the
-    ``(k, N-1, N-1)`` stack of their matrices, each equal to a single call.
+    ``A`` and ``B`` are block diagonal, ``A`` over the even plates and ``B``
+    over the odd ones: an end plate adds its ``r`` alone, an interior plate
+    ``k`` its scattering block ``[[r_k, t_k], [t_k, r_k]]``.  Each is filled
+    band by band through a flat view.
+
+    Given arrays of shape ``(..., N)``, the plates on the last axis, it
+    returns the ``(..., N-1, N-1)`` stack of their matrices, each equal to a
+    single call.
     """
-    r = np.moveaxis(np.asarray(r, float), 0, -1)  # plates on the last axis
-    t = np.moveaxis(np.asarray(t, float), 0, -1)
-    i = np.arange(r.shape[-1] - 1)
-    rightward = np.zeros(r.shape[:-1] + (i.size, i.size))  # the equations of u_k
-    leftward = np.zeros_like(rightward)  # the equations of v_k
-    rightward[..., i, i], rightward[..., i[1:], i[:-1]] = r[..., :-1], t[..., 1:-1]
-    leftward[..., i, i], leftward[..., i[:-1], i[1:]] = r[..., 1:], t[..., 1:-1]
-    even = (i % 2 == 0)[:, None]
-    return np.where(even, rightward, leftward) @ np.where(even, leftward, rightward)
+    r, t = np.asarray(r, float), np.asarray(t, float)
+    n = r.shape[-1] - 1
+    step = 2 * (n + 1)  # two rows and two columns: from one block to the next
+    a = np.zeros(r.shape[:-1] + (n * n,))
+    b = np.zeros_like(a)
+    # diagonals: even rows, then odd rows; then the t_k pair of each block
+    a[..., ::step], a[..., n + 1::step] = r[..., 0:n:2], r[..., 2::2]
+    a[..., 2 * n + 1::step], a[..., n + 2::step] = t[..., 2:n:2], t[..., 2:n:2]
+    b[..., ::step], b[..., n + 1::step] = r[..., 1::2], r[..., 1:n:2]
+    b[..., n::step], b[..., 1::step] = t[..., 1:n:2], t[..., 1:n:2]
+    shape = r.shape[:-1] + (n, n)
+    return a.reshape(shape) @ b.reshape(shape)

@@ -152,7 +152,7 @@ def _log_series_head(mu, log_neg_mu, odd):
 
 def _power_table(x: np.ndarray, n: int) -> np.ndarray:
     """``x^k`` for ``k = 1 ... n``, shape ``(m, n)`` for ``m`` values ``x``."""
-    return np.cumprod(np.repeat(x[:, None], n, axis=1), axis=1)
+    return np.cumprod(np.broadcast_to(x[:, None], (x.size, n)), axis=1)
 
 
 def _contract(powers: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -194,6 +194,8 @@ def _li4_array(z) -> np.ndarray:
     inner = az < _SERIES_RADIUS
     values[inner] = _contract(_power_table(z[inner], _SERIES_VECTOR.size), _SERIES_VECTOR)
     outer = ~inner
+    if not outer.any():
+        return values
     zo = z[outer]
     mu = np.log(np.minimum(az[outer], 1.0)) + 1j * np.arctan2(zo.imag, zo.real)
     mu2_powers = _power_table(mu * mu, _LOG_SERIES_VECTOR.size - 1)

@@ -42,7 +42,7 @@ from casimir_plates.optics import (
     coefficients,
 )
 from casimir_plates.scattering import round_trip_matrix
-from casimir_plates.special import QuadratureSpec, _integrate_many, li4
+from casimir_plates.special import QuadratureSpec, _integrate_many, _li4_array, li4
 
 GRAPHENE = ConstantConductivity(SIGMA_GRAPHENE)
 PE = PerfectElectric()
@@ -571,9 +571,10 @@ class TestRootDiagnostics:
             n = int(rng.integers(3, 9))
             plates = [kinds[k] for k in rng.integers(0, len(kinds), n)]
             t = rng.uniform(0.001, 1.0, 4)
-            for r, t_coef in energy_mod._coefficient_tables(uniform_stack(plates), t):
+            r, t_coef = energy_mod._coefficient_tables(uniform_stack(plates), t)
+            for p in range(2):  # the polarizations
                 for j in range(t.size):
-                    matrices.append(round_trip_matrix(r[:, j], t_coef[:, j]))
+                    matrices.append(round_trip_matrix(r[p, j], t_coef[p, j]))
         paired = 0
         for m in matrices:
             w = _inverse_roots(m).tolist()
@@ -601,11 +602,11 @@ class TestRootDiagnostics:
         t = np.array([0.05, 0.3])
         values, floors = energy_mod._polylog_panel(stack, t)
         assert floors.tolist() == [6 * 1e-14] * 2
-        tables = energy_mod._coefficient_tables(stack, t)
+        r, t_coef = energy_mod._coefficient_tables(stack, t)
         for j in range(t.size):
             expected = 0.0
-            for r, t_coef in tables:
-                m = round_trip_matrix(r[:, j], t_coef[:, j])
+            for p in range(2):  # the polarizations
+                m = round_trip_matrix(r[p, j], t_coef[p, j])
                 assert m.shape == (3, 3)
                 expected += _li4_root_sum(_inverse_roots(m))
             assert values[j] == expected
@@ -724,6 +725,208 @@ class TestRootDiagnostics:
         assert result.method == "quadrature"
 
 
+def plain_coefficient_tables(stack, t):
+    """Per polarization, the ``(r, t_coef)`` tables of shape ``(N,) + t.shape``,
+    one `coefficients` call per plate (looked up at call time, so a test can
+    patch it for both pipelines)."""
+    import casimir_plates.energy as energy_mod
+
+    return [
+        tuple(np.array(c) for c in zip(*(energy_mod.coefficients(p, pol, t) for p in stack.plates)))
+        for pol in Polarization
+    ]
+
+
+def plain_round_trip_matrix(r, t):
+    """The reference ``M = A B``: the full matrices of the u and v equations,
+    rows picked by parity with ``np.where``, the plates on the first axis."""
+    r = np.moveaxis(np.asarray(r, float), 0, -1)
+    t = np.moveaxis(np.asarray(t, float), 0, -1)
+    i = np.arange(r.shape[-1] - 1)
+    rightward = np.zeros(r.shape[:-1] + (i.size, i.size))
+    leftward = np.zeros_like(rightward)
+    rightward[..., i, i], rightward[..., i[1:], i[:-1]] = r[..., :-1], t[..., 1:-1]
+    leftward[..., i, i], leftward[..., i[:-1], i[1:]] = r[..., 1:], t[..., 1:-1]
+    even = (i % 2 == 0)[:, None]
+    return np.where(even, rightward, leftward) @ np.where(even, leftward, rightward)
+
+
+def plain_polylog_panel(stack, t):
+    """The reference `_polylog_panel`: per-polarization tables stacked next to
+    the node axis, `plain_round_trip_matrix`, LAPACK's eigenvalues of every
+    matrix, and Li4 of every eigenvalue."""
+    r, t_coef = (np.stack(part, axis=-2) for part in zip(*plain_coefficient_tables(stack, t)))
+    w = np.linalg.eigvals(plain_round_trip_matrix(r, t_coef))
+    try:
+        sums = _li4_array(w).real.sum(axis=-1)
+    except ValueError as exc:
+        first = np.argmax((np.abs(w) > 1.0 + 1e-12).any(axis=-1))
+        *panel, pol, node = np.unravel_index(first, w.shape[:-1])
+        pol = list(Polarization)[pol]
+        raise UnitDiskRootError(str(exc), t=float(t[(*panel, node)]), pol=pol) from exc
+    values = 0.0 + sums[..., 0, :] + sums[..., 1, :]
+    floors = np.full(t.shape, 1e-14 * (2 * (stack.n_plates - 1)))
+    return np.array([values, floors])
+
+
+# plate factories: each call makes a new object, as perfbench and `sweep` do
+PLATE_KINDS = (
+    lambda: ConstantConductivity(0.0),
+    lambda: ConstantConductivity(SIGMA_GRAPHENE),
+    lambda: ConstantConductivity(1e6),
+    lambda: GenericDeltaPlate(1.0, 0.5),
+    lambda: GenericDeltaPlate(3.0, 1.0),
+    PerfectElectric,
+    PerfectMagnetic,
+    Transparent,
+)
+
+
+def oracle_nodes(rng, k):
+    """A ``(k, 31)`` node array holding t = 0 and t = 1."""
+    t = rng.uniform(0.0, 1.0, (k, 31))
+    t[0, 0], t[-1, -1] = 0.0, 1.0
+    return t
+
+
+class TestNodePipelineOracle:
+    """The polylog node pipeline against the plain reference pipeline, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_panel_equals_the_plain_pipeline(self, n):
+        import casimir_plates.energy as energy_mod
+
+        rng = np.random.default_rng(20261020 + n)
+        for _ in range(10):
+            kinds = rng.integers(0, len(PLATE_KINDS), n)
+            plates = [PLATE_KINDS[i]() for i in kinds]
+            if rng.uniform() < 0.5:  # some equal plates as one object
+                plates[-1] = plates[0]
+            stack = uniform_stack(plates)
+            for k in (1, 2, 3):
+                t = oracle_nodes(rng, k)
+                r, t_coef = energy_mod._coefficient_tables(stack, t)
+                plain = [np.stack(part, axis=-2) for part in zip(*plain_coefficient_tables(stack, t))]
+                assert r.tobytes() == np.moveaxis(plain[0], 0, -1).tobytes()
+                assert t_coef.tobytes() == np.moveaxis(plain[1], 0, -1).tobytes()
+                m = round_trip_matrix(r, t_coef)
+                assert m.tobytes() == plain_round_trip_matrix(*plain).tobytes()
+                panel = energy_mod._polylog_panel(stack, t)
+                assert panel.tobytes() == plain_polylog_panel(stack, t).tobytes(), (kinds, k)
+
+    def test_one_coefficients_call_per_distinct_plate_and_polarization(self, monkeypatch):
+        import casimir_plates.energy as energy_mod
+
+        calls = []
+
+        def counted(m, pol, t):
+            calls.append((m, pol))
+            return coefficients(m, pol, t)
+
+        monkeypatch.setattr(energy_mod, "coefficients", counted)
+        t = oracle_nodes(np.random.default_rng(20261020), 2)
+        energy_mod._polylog_panel(uniform_stack([ConstantConductivity(SIGMA_GRAPHENE) for _ in range(6)]), t)
+        assert len(calls) == 2
+        # equal plates, but sigma = -0.0 gives a TE r of +0.0 where 0.0 gives -0.0
+        plates = [ConstantConductivity(-0.0), ConstantConductivity(0.0), GRAPHENE, GRAPHENE]
+        stack = uniform_stack(plates)
+        expected = plain_polylog_panel(stack, t)
+        calls.clear()
+        assert energy_mod._polylog_panel(stack, t).tobytes() == expected.tobytes()
+        assert len(calls) == 6
+        r, _ = energy_mod._coefficient_tables(stack, t)
+        assert not np.signbit(r[:, 1, :, 0]).any() and np.signbit(r[:, 1, :, 1]).all()
+
+    @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)
+    def test_unit_disk_error_equals_the_plain_pipeline(self, monkeypatch, pol):
+        # amplitudes past 1 at t > 0.4 in one polarization push eigenvalues
+        # out of the unit disk; both pipelines must name the same node
+        import casimir_plates.energy as energy_mod
+
+        def inflated(m, p, t):
+            r, t_coef = coefficients(m, p, t)
+            return (r * np.where(t > 0.4, 1.25, 1.0) if p is pol else r), t_coef
+
+        monkeypatch.setattr(energy_mod, "coefficients", inflated)
+        rng = np.random.default_rng(20261021)
+        raised = 0
+        for n in range(2, 10):
+            plates = [ConstantConductivity(1e6)] + [PLATE_KINDS[i]() for i in rng.integers(0, 5, n - 2)]
+            stack = uniform_stack(plates + [ConstantConductivity(1e6)])
+            for k in (1, 2, 3):
+                t = oracle_nodes(rng, k)
+                try:
+                    expected = plain_polylog_panel(stack, t)
+                except UnitDiskRootError as plain:
+                    with pytest.raises(UnitDiskRootError) as err:
+                        energy_mod._polylog_panel(stack, t)
+                    assert (err.value.t, err.value.pol) == (plain.t, plain.pol) and plain.pol is pol
+                    assert str(err.value) == str(plain)
+                    raised += 1
+                else:
+                    assert energy_mod._polylog_panel(stack, t).tobytes() == expected.tobytes()
+        assert raised >= 12
+
+
+class TestNodePipelineFacts:
+    """What the pipeline's shortcuts rest on: LAPACK's order of conjugate
+    eigenvalues, and a 1x1 matrix's entry as its eigenvalue."""
+
+    @staticmethod
+    def matrices(rng, n):
+        """Seeded real ``n x n`` matrices: random, with a repeated complex
+        pair, and block diagonal from an opaque plate."""
+        out = [rng.uniform(-0.5, 0.5, (n, n)) for _ in range(40)]
+        if n >= 4:
+            block = rng.uniform(-0.5, 0.5, (2, 2))
+            block[0, 1], block[1, 0] = 0.3, -0.3  # a complex pair
+            rest = rng.uniform(-0.5, 0.5, (n - 4, n - 4))
+            repeated = np.zeros((n, n))
+            repeated[:2, :2] = repeated[2:4, 2:4] = block
+            repeated[4:, 4:] = rest
+            out.append(repeated)
+            q = rng.uniform(-1.0, 1.0, (n, n))
+            out.append(q @ repeated @ np.linalg.inv(q))
+        for pol in Polarization:
+            plates = [PLATE_KINDS[i]() for i in rng.integers(1, 5, n + 1)]
+            if n > 1:  # an opaque interior plate
+                plates[int(rng.integers(1, n))] = PE
+            t = oracle_nodes(rng, 1)[0]
+            r, t_coef = (np.array(c).T for c in zip(*(coefficients(p, pol, t) for p in plates)))
+            out.extend(round_trip_matrix(r, t_coef))
+        return np.array(out)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_eigenvalue_below_the_axis_follows_its_conjugate(self, n):
+        w = _inverse_roots(self.matrices(np.random.default_rng(20261022 + n), n))
+        below = np.argwhere(w.imag < 0.0)
+        assert (below[:, 1] > 0).all()
+        for row, j in below:
+            assert w[row, j].tobytes() == np.conj(w[row, j - 1]).tobytes()
+        if n >= 2:
+            assert below.size > 0
+
+    def test_one_by_one_shortcut_equals_lapack(self, monkeypatch):
+        # LAPACK rescales a nonzero entry below 2**-459 or above 2**459 and
+        # may round it; those stacks still go to LAPACK
+        edge = 2.0**-459
+        entries = [0.0, -0.0, 0.25, -1.0, 1.0, 0.7, edge, -edge, 2.0**459, 1e-300, -3e-160,
+                   np.nextafter(edge, 0.0), 5e-324, 1e150]
+        entries += np.random.default_rng(20261023).uniform(-1.0, 1.0, 50).tolist()
+        for x in entries:
+            m = np.array([[[x]], [[0.5]]])
+            w = _inverse_roots(m)
+            lapack = np.linalg.eigvals(m)
+            assert (w.dtype, w.shape, w.tobytes()) == (lapack.dtype, lapack.shape, lapack.tobytes()), x
+
+        def no_lapack(m):
+            raise AssertionError("eigvals called on 1x1 matrices")
+
+        m = np.random.default_rng(20261024).uniform(-1.0, 1.0, (2, 2, 31, 1, 1))
+        monkeypatch.setattr(np.linalg, "eigvals", no_lapack)
+        assert _inverse_roots(m).tolist() == m[..., 0].tolist()
+
+
 class TestLongUniformStacks:
     @pytest.mark.parametrize("n", [20, 64])
     def test_auto_and_polylog_meet_tolerance_without_compositions(self, monkeypatch, n):
@@ -796,8 +999,8 @@ class TestPolylogNode:
 
         stack = uniform_stack(plates)
         (value,), (floor,) = energy_mod._polylog_panel(stack, np.array([t]))
-        tables = energy_mod._coefficient_tables(stack, np.array([t]))
-        reference = sum(mp_node_sum(r[:, 0].tolist(), tc[:, 0].tolist()) for r, tc in tables)
+        r, tc = energy_mod._coefficient_tables(stack, np.array([t]))
+        reference = sum(mp_node_sum(r[p, 0].tolist(), tc[p, 0].tolist()) for p in range(2))
         assert abs(value - reference) <= floor
 
 

@@ -392,11 +392,12 @@ class TestRoundTripMatrix:
     )
     @pytest.mark.parametrize("pol", list(Polarization))
     def test_node_tables_stack_the_single_matrices(self, plates, pol):
-        # (N, k) tables give the (k, N-1, N-1) stack of the k single-node
-        # matrices, bit for bit (a sigma = 0 plate brings -0.0 amplitudes)
+        # (k, N) tables, the plates on the last axis, give the (k, N-1, N-1)
+        # stack of the k single-node matrices, bit for bit (a sigma = 0
+        # plate brings -0.0 amplitudes)
         t = np.linspace(0.0, 1.0, 7) ** 3
         r, t_coef = (np.array(c) for c in zip(*(coefficients(p, pol, t) for p in plates)))
-        stacked = round_trip_matrix(r, t_coef)
+        stacked = round_trip_matrix(r.T, t_coef.T)
         single = np.array([round_trip_matrix(r[:, j], t_coef[:, j]) for j in range(t.size)])
         assert stacked.shape == (t.size, len(plates) - 1, len(plates) - 1)
         assert stacked.tobytes() == single.tobytes()

@@ -235,6 +235,22 @@ class TestLi4Array:
             kernel = _li4_array(np.array(z.real))[()]
             assert np.array(li4(z.real)).tobytes() == kernel.real.tobytes(), z.real
 
+    def test_conjugation_symmetry_bit_for_bit(self):
+        # `_li4_root_sum` copies the real part of Li4 at an eigenvalue below
+        # the real axis from its conjugate's; on the axis itself, x + 0j and
+        # x - 0j may differ in the sign of a zero imaginary part
+        rng = np.random.default_rng(20261020)
+        inner = np.sqrt(rng.uniform(0.0, 0.25, 500)) * np.exp(1j * rng.uniform(-4.0, 4.0, 500))
+        outer = np.sqrt(rng.uniform(0.25, 1.0, 500)) * np.exp(1j * rng.uniform(-4.0, 4.0, 500))
+        mixed = np.concatenate([inner, self.POINTS, outer])
+        rng.shuffle(mixed)
+        for z in (inner, mixed, mixed.reshape(-1, 6)):
+            conjugated, values = _li4_array(z.conj()), _li4_array(z)
+            assert conjugated.real.tobytes() == values.real.tobytes()
+            off_axis = z.imag != 0.0
+            assert conjugated.imag[off_axis].tobytes() == (-values.imag[off_axis]).tobytes()
+            assert (conjugated == values.conj()).all()
+
     def test_minus_one_exact_after_the_projection(self):
         x = np.array([-1.0, -(1.0 + 5e-13)])
         assert _li4_array(x).tolist() == [LI4_MINUS_ONE] * 2
