@@ -41,7 +41,7 @@ from .optics import (
     SweepSlot,
     Transparent,
 )
-from .special import QuadratureSpec
+from .special import QuadratureSpec, _is_integer
 
 __all__ = [
     "ConfigError",
@@ -215,7 +215,7 @@ def validate_config(config: RunConfig) -> None:
                 raise ValueError(
                     f"sweep kind must be one of {', '.join(_GRID_KINDS)}, got {grid.kind!r}"
                 )
-            if not isinstance(grid.points, int):
+            if not _is_integer(grid.points):
                 raise ValueError(f"sweep points must be an integer, got {grid.points!r}")
             _check_finite((grid.start, grid.stop))
             if grid.kind == "log" and not grid.start > 0.0:

@@ -34,7 +34,7 @@ from .optics import (
     SweepSlot,
     coefficients,
 )
-from .scattering import StackGeometry, delta_total, round_trip_matrix
+from .scattering import delta_total, round_trip_matrix
 from .special import (
     _OVERSHOOT,
     QuadratureConvergenceError,
@@ -123,15 +123,17 @@ class StackSpec:
 
     def __post_init__(self):
         plates = tuple(self.plates)
-        gaps = tuple(self.gaps)
+        gaps = tuple(float(g) for g in self.gaps)
         if len(plates) < 2:
             raise ValueError("a stack needs at least two plates")
         if len(gaps) != len(plates) - 1:
             raise ValueError(
                 f"{len(plates)} plates need {len(plates) - 1} gaps, got {len(gaps)}"
             )
+        if not all(g > 0.0 and math.isfinite(g) for g in gaps):
+            raise ValueError(f"gaps must be positive and finite, got {gaps}")
         object.__setattr__(self, "plates", plates)
-        object.__setattr__(self, "gaps", StackGeometry(gaps).gaps)
+        object.__setattr__(self, "gaps", gaps)
 
     @property
     def n_plates(self) -> int:
@@ -238,13 +240,11 @@ def _coefficient_tables(stack: StackSpec, t: np.ndarray) -> np.ndarray:
     ``t_coef``; the panels of ``t``; the polarizations TM and TE, next to
     the node axis; the nodes; the plates, last, as `round_trip_matrix`
     takes them.  `coefficients` runs once per polarization and distinct
-    plate, on all nodes at once.  A plate with the ``repr`` of an earlier
-    one copies its columns: equal plates with equal floats, down to the
-    sign of a zero (``ConstantConductivity(-0.0) == ConstantConductivity(0.0)``,
-    but its TE ``r`` is ``+0.0`` where the other's is ``-0.0``).
+    plate, on all nodes at once; a plate equal to an earlier one copies its
+    columns.
     """
     first = {}
-    source = [first.setdefault(repr(plate), i) for i, plate in enumerate(stack.plates)]
+    source = [first.setdefault(plate, i) for i, plate in enumerate(stack.plates)]
     table = np.empty((2,) + t.shape[:-1] + (2, t.shape[-1], len(source)))
     for p, pol in enumerate(Polarization):
         for i, (plate, j) in enumerate(zip(stack.plates, source)):
@@ -363,16 +363,17 @@ def energy_ratio_quadrature(
     _require_bound(stack)
     spec = spec or QuadratureSpec()
     g_min = min(stack.gaps)
-    geometry = StackGeometry(tuple(g / g_min for g in stack.gaps))
+    gaps = tuple(g / g_min for g in stack.gaps)
 
     def log_delta(t: np.ndarray):
-        # r and t_coef of each polarization as (N, k) views, k nodes
-        tables = np.swapaxes(_coefficient_tables(stack, t), -1, -2)
+        # r and t_coef of each polarization as (k, N) tables, k nodes
+        tables = _coefficient_tables(stack, t)
 
         def block(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
             total = 0.0
             for r, tc in zip(*tables):
-                d = delta_total((r[:, rows], tc[:, rows]), geometry, s)
+                # (rows, 1, N) against s of shape (rows, m): one node per row
+                d = delta_total(r[rows, None], tc[rows, None], gaps, s)
                 bad = d <= 0.0
                 if bad.any():
                     i, j = np.unravel_index(np.argmax(bad), bad.shape)

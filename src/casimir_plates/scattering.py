@@ -1,12 +1,16 @@
 """The multiple-scattering parameter Delta of an N-plate stack.
 
+Every function here takes the plate amplitudes ``r`` and ``t`` as arrays
+with the plates on the last axis, as the evaluation routes' coefficient
+tables hold them, and the ``N - 1`` gaps as floats.
+
 `delta_total`, the value the quadrature route uses, runs a division-free
 2x2 transfer matrix from the last plate to the first: ``O(N)`` work and no
 denominator that can vanish.  It is the dressed-mirror recursion, in which
 the sub-stack ``k..N-1`` acts as one mirror, with its denominators cleared.
-It runs on one node's coefficients with one ``s`` or an array of them, or
-on a block of k nodes, coefficients of shape ``(N, k)`` against ``s`` of
-shape ``(k, m)``, one row per node.
+It runs element by element: each plate's amplitudes ``r[..., j]`` broadcast
+against ``s``, so one node ``(N,)`` takes any ``s``, and a block of k
+nodes ``(k, 1, N)`` takes ``s`` of shape ``(k, m)``, one row per node.
 
 The paper organizes Delta as a sum over compositions (ordered integer
 partitions) of ``N - 1``: a part of size 1 contributes a nearest-neighbour
@@ -26,69 +30,18 @@ gap of dimensionless length ``g`` carries a round-trip factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
 # `compositions` and `Composition` serve only the oracle `delta_compositions`
-__all__ = [
-    "StackGeometry",
-    "NodeCoefficients",
-    "delta_total",
-    "delta_compositions",
-    "round_trip_matrix",
-]
+__all__ = ["delta_total", "delta_compositions", "round_trip_matrix"]
 
 #: One term of the expansion: ordered positive integers summing to N - 1.
 Composition = Tuple[int, ...]
 
 _MAX_COMPOSITION_N = 62
-
-
-@dataclass(frozen=True)
-class StackGeometry:
-    """Dimensionless gap lengths of an N-plate stack (N - 1 entries)."""
-
-    gaps: Tuple[float, ...]
-
-    def __post_init__(self):
-        gaps = tuple(float(g) for g in self.gaps)
-        if len(gaps) < 1:
-            raise ValueError("a stack needs at least one gap (two plates)")
-        if not all(g > 0.0 and math.isfinite(g) for g in gaps):
-            raise ValueError(f"gaps must be positive and finite, got {gaps}")
-        object.__setattr__(self, "gaps", gaps)
-
-    @property
-    def n_plates(self) -> int:
-        return len(self.gaps) + 1
-
-
-@dataclass(frozen=True)
-class NodeCoefficients:
-    """Per-plate (r, t) amplitudes for one polarization at one node."""
-
-    r: Tuple[float, ...]
-    t_coef: Tuple[float, ...]
-
-    def __post_init__(self):
-        r = tuple(float(v) for v in self.r)
-        t = tuple(float(v) for v in self.t_coef)
-        if len(r) != len(t):
-            raise ValueError("r and t_coef must have equal length")
-        if len(r) < 2:
-            raise ValueError("need at least two plates")
-        for v in (*r, *t):
-            if not (-1.0 <= v <= 1.0):
-                raise ValueError(f"amplitude {v} outside [-1, 1]")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t_coef", t)
-
-    @property
-    def n_plates(self) -> int:
-        return len(self.r)
 
 
 @lru_cache(maxsize=None)
@@ -111,15 +64,7 @@ def compositions(n: int) -> Tuple[Composition, ...]:
     ) + ((n,),)
 
 
-def _check_sizes(n_plates: int, geometry: StackGeometry) -> None:
-    if geometry.n_plates != n_plates:
-        raise ValueError(
-            f"geometry is for {geometry.n_plates} plates, "
-            f"coefficients for {n_plates}"
-        )
-
-
-def delta_total(coeffs, geometry: StackGeometry, s):
+def delta_total(r, t, gaps, s):
     """Full multiple-scattering parameter at one (polarization, node) and ``s``.
 
     Runs the transfer matrix from ``P = r_{N-1}``, ``Q = 1`` down to plate
@@ -131,45 +76,46 @@ def delta_total(coeffs, geometry: StackGeometry, s):
     numerator of the reflection of the dressed sub-stack ``k..N-1``, so the
     recursion never divides.  ``Delta -> 1`` as ``s -> infinity``.
 
-    ``coeffs`` is either the `NodeCoefficients` of one node, with ``s`` a
-    float or an ndarray of any shape, or a block: a pair ``(r, t)`` of
-    arrays of shape ``(N, k)`` holding k nodes column by column, with ``s``
-    of shape ``(k, m)`` whose row ``i`` belongs to column ``i``.  Either
-    way the same recursion runs element by element and returns a result
-    shaped like ``s``, equal to the scalar calls.
+    ``r`` and ``t`` hold the plates on their last axis; each ``r[..., j]``
+    broadcasts against ``s``, and the recursion runs element by element.
+    One node, ``(N,)``, takes a float or an ndarray of any shape; a block
+    of k nodes, ``(k, 1, N)``, takes ``s`` of shape ``(k, m)`` whose row
+    ``i`` belongs to node ``i``.  Each element equals the scalar call.
     """
-    if isinstance(coeffs, NodeCoefficients):
-        r, t = coeffs.r, coeffs.t_coef
-    else:
-        r, t = (np.asarray(c, float)[:, :, None] for c in coeffs)
-    _check_sizes(len(r), geometry)
-    gaps = geometry.gaps
-    p, q = r[-1], 1.0
+    r, t = np.asarray(r, float), np.asarray(t, float)
+    if len(gaps) != r.shape[-1] - 1:
+        raise ValueError(f"{len(gaps)} gaps given for {r.shape[-1]} plates")
+    p, q = r[..., -1], 1.0
     for k in range(len(gaps) - 1, -1, -1):
         yp = np.exp(s * -gaps[k]) * p
-        rk = r[k]
+        rk = r[..., k]
         # t_k * t_k rather than t_k ** 2: a float's ** goes through the C
         # library's pow, which can round differently from numpy's squares
-        p, q = (t[k] * t[k] - rk * rk) * yp + rk * q, q - rk * yp
+        p, q = (t[..., k] * t[..., k] - rk * rk) * yp + rk * q, q - rk * yp
     return q
 
 
-def delta_compositions(
-    coeffs: NodeCoefficients, geometry: StackGeometry, s: float
-) -> float:
+def delta_compositions(r, t, gaps, s: float) -> float:
     """Delta as the paper's sum over compositions of ``N - 1``.
 
-    Sums ``2**(N-2)`` composition products in a fixed lexicographic order,
-    each accumulated left to right, so results are bit-reproducible.  The
-    cost doubles with every plate and `compositions` caps ``N`` at 63; the
-    package evaluates Delta with `delta_total` and keeps this expansion as
-    the independent reference the tests compare against.
+    Takes the arguments of `delta_total` for one node and one float ``s``;
+    refuses fewer than two plates, sizes that do not match or an amplitude
+    outside ``[-1, 1]``.  Sums ``2**(N-2)`` composition products in Python
+    floats, in a fixed lexicographic order, each accumulated left to right,
+    so results are bit-reproducible.  The cost doubles with every plate and
+    `compositions` caps ``N`` at 63; the package evaluates Delta with
+    `delta_total` and keeps this expansion as the independent reference the
+    tests compare against.
     """
-    _check_sizes(coeffs.n_plates, geometry)
-    r, t, gaps = coeffs.r, coeffs.t_coef, geometry.gaps
+    r, t = [float(v) for v in r], [float(v) for v in t]
+    if not 2 <= len(r) == len(t) == len(gaps) + 1:
+        raise ValueError(f"need N >= 2 r and t and N - 1 gaps, got {len(r)}, {len(t)}, {len(gaps)}")
+    for v in (*r, *t):
+        if not (-1.0 <= v <= 1.0):
+            raise ValueError(f"amplitude {v} outside [-1, 1]")
     y = [math.exp(-s * g) for g in gaps]
     total = 0.0
-    for comp in compositions(coeffs.n_plates - 1):
+    for comp in compositions(len(r) - 1):
         term = 1.0
         p = 0
         for c in comp:

@@ -97,6 +97,11 @@ _LOG_SERIES_VECTOR = _log_series_odd_coeffs(21)
 _OVERSHOOT = 1e-12
 
 
+def _is_integer(value) -> bool:
+    """An integer, a numpy one too, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and subdivision budget for the adaptive integrators.
@@ -115,7 +120,7 @@ class QuadratureSpec:
                 f"abs_tol={self.abs_tol!r}"
             )
         budget = self.max_subdivisions
-        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+        if not _is_integer(budget) or budget < 1:
             raise ValueError(f"max_subdivisions must be an integer of at least 1, got {budget!r}")
 
 

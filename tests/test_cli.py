@@ -3,6 +3,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from casimir_plates.cli import main
@@ -189,6 +190,7 @@ class TestConfigGrammar:
             SweepGrid("cubic", 0.1, 1.0, 3),  # would sweep linearly
             SweepGrid("log", 0.1, math.inf, 3),
             SweepGrid("log", 0.1, 1.0, 2.5),
+            SweepGrid("log", 1.0, 10.0, True),  # would write "True"
         ],
     )
     def test_rejects_grid_that_does_not_round_trip(self, grid):
@@ -196,6 +198,15 @@ class TestConfigGrammar:
         config = RunConfig(plates=(SweepSlot(), PerfectMagnetic()), sweep_grid=grid)
         with pytest.raises(ConfigError, match="sweep"):
             validate_config(config)
+
+    def test_numpy_integer_points_round_trip(self):
+        # the integer rule of QuadratureSpec.max_subdivisions: any integer but a bool
+        grid = SweepGrid("log", 1.0, 10.0, np.int64(3))
+        config = RunConfig(plates=(SweepSlot(), PerfectMagnetic()), sweep_grid=grid)
+        validate_config(config)
+        text = format_config(config)
+        assert "sweep log 1.0 10.0 3\n" in text
+        assert parse_config(text) == config
 
     @pytest.mark.parametrize("field", ["label", "output"])
     @pytest.mark.parametrize("word", ["my#run", "my run", "", " run", "run\n"])

@@ -95,6 +95,15 @@ class TestConstantConductivity:
         with pytest.raises(ValueError):
             ConstantConductivity(-0.1)
 
+    def test_negative_zero_is_stored_as_zero(self):
+        # equal plates give equal amplitudes, down to the sign of a zero
+        plate = ConstantConductivity(-0.0)
+        assert not np.signbit(plate.sigma)
+        t = np.linspace(0.0, 1.0, 5)
+        for pol in Polarization:
+            for a, b in zip(coefficients(plate, pol, t), coefficients(ConstantConductivity(0.0), pol, t)):
+                assert a.tobytes() == b.tobytes()
+
 
 class TestIdealPlates:
     def test_perfect_electric(self):
@@ -162,6 +171,12 @@ class TestGenericDeltaPlate:
             GenericDeltaPlate(-1.0, 0.5)
         with pytest.raises(ValueError):
             GenericDeltaPlate(0.5, -1.0)
+
+    def test_negative_zero_couplings_are_stored_as_zero(self):
+        plate = GenericDeltaPlate(-0.0, -0.0)
+        assert not np.signbit(plate.lambda_e) and not np.signbit(plate.lambda_g)
+        assert GenericDeltaPlate(1.5, -0.0) == GenericDeltaPlate(1.5, 0.0)
+        assert repr(GenericDeltaPlate(1.5, -0.0)) == repr(GenericDeltaPlate(1.5, 0.0))
 
 
 MATERIALS = (

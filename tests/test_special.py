@@ -409,6 +409,9 @@ class TestIntegrateT:
         with pytest.raises(ValueError, match="max_subdivisions"):
             QuadratureSpec(max_subdivisions=budget)
 
+    def test_subdivision_budget_takes_a_numpy_integer(self):
+        assert QuadratureSpec(max_subdivisions=np.int64(3)).max_subdivisions == 3
+
 
 def _peak(width, centre):
     return lambda x: (1.0 / (width + (x - centre) ** 2), np.zeros(x.shape))
