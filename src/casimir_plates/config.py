@@ -231,7 +231,7 @@ def _format_plate(plate: Material) -> str:
         return "plate sigma *"
     for kind, (cls, fields) in _PLATES.items():
         if isinstance(plate, cls):
-            return " ".join(["plate", kind, *(repr(getattr(plate, f)) for f in fields)])
+            return " ".join(["plate", kind, *(repr(float(getattr(plate, f))) for f in fields)])
     raise ConfigError(f"cannot format plate {plate!r}")
 
 
@@ -240,15 +240,15 @@ def format_config(config: RunConfig) -> str:
     lines = [f"label {config.label}"]
     lines.extend(_format_plate(p) for p in config.plates)
     if config.gaps is not None:
-        lines.append("gaps " + " ".join(repr(g) for g in config.gaps))
+        lines.append("gaps " + " ".join(repr(float(g)) for g in config.gaps))
     lines.append(f"method {config.method}")
     if config.rel_tol is not None:
-        lines.append(f"rel-tol {config.rel_tol!r}")
+        lines.append(f"rel-tol {float(config.rel_tol)!r}")
     if config.abs_tol is not None:
-        lines.append(f"abs-tol {config.abs_tol!r}")
+        lines.append(f"abs-tol {float(config.abs_tol)!r}")
     if config.sweep_grid is not None:
         g = config.sweep_grid
-        lines.append(f"sweep {g.kind} {g.start!r} {g.stop!r} {g.points}")
+        lines.append(f"sweep {g.kind} {float(g.start)!r} {float(g.stop)!r} {g.points}")
     if config.sweep_shared:
         lines.append("sweep-shared")
     if config.output is not None:

@@ -257,20 +257,12 @@ def _inverse_roots(m: np.ndarray) -> np.ndarray:
 
     ``Delta(x) = det(I - x M) = prod_i (1 - w_i x)`` (see
     `round_trip_matrix`); for a ``(..., n, n)`` stack of them, row ``j``
-    of the ``(..., n)`` result holds those of one matrix.  LAPACK returns
-    each non-real eigenvalue of the real ``M`` right after its exact
-    conjugate, which `_li4_root_sum` relies on.  A 1x1 ``M`` returns its
-    entry, LAPACK's bits, unless ``dgeev`` would rescale it: a nonzero norm
-    below ``2**-459`` or above ``2**459`` goes to LAPACK.  The eigenvalues
+    of the ``(..., n)`` result holds those of one matrix.  The eigenvalues
     are backward stable in the entries of ``M``, each a sum of at most two
     products of two amplitudes; unlike the roots of Delta multiplied out
     into coefficients, they do not inherit the rounding of those
     coefficients, which spreads the root cluster near ``t -> 0``.
     """
-    if m.shape[-1] == 1:
-        a = np.abs(m[..., 0])
-        if np.all((a == 0.0) | ((a >= 2.0**-459) & (a <= 2.0**459))):
-            return m[..., 0]
     return np.linalg.eigvals(m)
 
 
@@ -278,28 +270,16 @@ def _li4_root_sum(w: np.ndarray) -> np.ndarray:
     """Sums of Li4 over the last axis of an array of eigenvalues of real matrices.
 
     ``w`` has shape ``(..., n)``, each row the eigenvalues of one real
-    matrix as `_inverse_roots` orders them; returns shape ``(...)``.  A
-    row's non-real eigenvalues come in conjugate pairs, whose Li4 values
-    are conjugate too, so the sum is real and each row adds the real parts
-    of its Li4 values.  One `_li4_array` call serves every row, but only
-    the eigenvalues with ``imag >= 0``: one with ``imag < 0`` follows its
-    conjugate, whose real part it copies (`_li4_array` is exactly
-    conjugation-symmetric).
+    matrix; returns shape ``(...)``, from one `_li4_array` call.  Non-real
+    eigenvalues come in conjugate pairs with conjugate Li4 values, so each
+    row adds the real parts of its Li4 values.
 
     Raises
     ------
     ValueError
         If an eigenvalue lies outside the unit disk, as `li4` refuses it.
     """
-    conjugates = w.imag[..., 1:] < 0.0
-    if not conjugates.any():
-        return _li4_array(w).real.sum(axis=-1)
-    own = np.ones(w.shape, bool)
-    own[..., 1:] = ~conjugates
-    parts = np.empty(w.shape)
-    parts[own] = _li4_array(w[own]).real
-    parts[..., 1:][conjugates] = parts[..., :-1][conjugates]
-    return parts.sum(axis=-1)
+    return _li4_array(w).real.sum(axis=-1)
 
 
 def _polylog_panel(stack: StackSpec, t: np.ndarray) -> np.ndarray:
@@ -358,7 +338,8 @@ def energy_ratio_quadrature(
     plates.  Internally the frequency variable is rescaled by the smallest
     gap so that every propagation exponent is at least one, which keeps the
     substituted integrand regular; the ratio is restored by the cube of the
-    rescaling.
+    rescaling.  One `delta_total` call serves both polarizations; the first
+    ``Delta <= 0``, by polarization, node and frequency, raises `DeltaDomainError`.
     """
     _require_bound(stack)
     spec = spec or QuadratureSpec()
@@ -366,27 +347,23 @@ def energy_ratio_quadrature(
     gaps = tuple(g / g_min for g in stack.gaps)
 
     def log_delta(t: np.ndarray):
-        # r and t_coef of each polarization as (k, N) tables, k nodes
-        tables = _coefficient_tables(stack, t)
+        r, tc = _coefficient_tables(stack, t)  # (pol, k, N) each, k nodes
 
         def block(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-            total = 0.0
-            for r, tc in zip(*tables):
-                # (rows, 1, N) against s of shape (rows, m): one node per row
-                d = delta_total(r[rows, None], tc[rows, None], gaps, s)
-                bad = d <= 0.0
-                if bad.any():
-                    i, j = np.unravel_index(np.argmax(bad), bad.shape)
-                    value = float(d[i, j])
-                    cause = "invalid coefficient regime"
-                    if abs(value) < np.finfo(float).tiny:
-                        cause = "Delta underflowed below the smallest normal float"
-                    raise DeltaDomainError(
-                        f"Delta = {value!r} at t={float(t[rows[i]])!r}, "
-                        f"s={float(s[i, j])!r}: {cause}"
-                    )
-                total = total + np.log(d)
-            return total
+            # (pol, rows, 1, N) against s of shape (rows, m): one node per row
+            d = delta_total(r[:, rows, None], tc[:, rows, None], gaps, s)
+            bad = d <= 0.0
+            if bad.any():
+                pol, i, j = np.unravel_index(np.argmax(bad), bad.shape)
+                value = float(d[pol, i, j])
+                cause = "invalid coefficient regime"
+                if abs(value) < np.finfo(float).tiny:
+                    cause = "Delta underflowed below the smallest normal float"
+                raise DeltaDomainError(
+                    f"Delta = {value!r} at t={float(t[rows[i]])!r}, "
+                    f"s={float(s[i, j])!r}: {cause}"
+                )
+            return np.log(d[0]) + np.log(d[1])  # TM, then TE
 
         return block
 

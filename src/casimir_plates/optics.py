@@ -67,7 +67,7 @@ class ConstantConductivity:
     def __post_init__(self):
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        object.__setattr__(self, "sigma", self.sigma + 0.0)  # -0.0 becomes 0.0
+        object.__setattr__(self, "sigma", float(self.sigma) + 0.0)  # a float; -0.0 becomes 0.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class GenericDeltaPlate:
             v = getattr(self, name)
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-            object.__setattr__(self, name, v + 0.0)  # -0.0 becomes 0.0
+            object.__setattr__(self, name, float(v) + 0.0)  # a float; -0.0 becomes 0.0
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ denominator that can vanish.  It is the dressed-mirror recursion, in which
 the sub-stack ``k..N-1`` acts as one mirror, with its denominators cleared.
 It runs element by element: each plate's amplitudes ``r[..., j]`` broadcast
 against ``s``, so one node ``(N,)`` takes any ``s``, and a block of k
-nodes ``(k, 1, N)`` takes ``s`` of shape ``(k, m)``, one row per node.
+nodes ``(..., k, 1, N)`` takes ``s`` of shape ``(k, m)``, one row per node.
 
 The paper organizes Delta as a sum over compositions (ordered integer
 partitions) of ``N - 1``: a part of size 1 contributes a nearest-neighbour
@@ -79,8 +79,9 @@ def delta_total(r, t, gaps, s):
     ``r`` and ``t`` hold the plates on their last axis; each ``r[..., j]``
     broadcasts against ``s``, and the recursion runs element by element.
     One node, ``(N,)``, takes a float or an ndarray of any shape; a block
-    of k nodes, ``(k, 1, N)``, takes ``s`` of shape ``(k, m)`` whose row
-    ``i`` belongs to node ``i``.  Each element equals the scalar call.
+    of k nodes, ``(..., k, 1, N)``, takes ``s`` of shape ``(k, m)`` whose
+    row ``i`` belongs to node ``i``, and returns ``(..., k, m)``.  Each
+    element equals the scalar call.
     """
     r, t = np.asarray(r, float), np.asarray(t, float)
     if len(gaps) != r.shape[-1] - 1:

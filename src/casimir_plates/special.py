@@ -199,18 +199,14 @@ def _li4_array(z) -> np.ndarray:
     inner = az < _SERIES_RADIUS
     values[inner] = _contract(_power_table(z[inner], _SERIES_VECTOR.size), _SERIES_VECTOR)
     outer = ~inner
-    if not outer.any():
-        return values
     zo = z[outer]
     mu = np.log(np.minimum(az[outer], 1.0)) + 1j * np.arctan2(zo.imag, zo.real)
     mu2_powers = _power_table(mu * mu, _LOG_SERIES_VECTOR.size - 1)
     odd = _LOG_SERIES_VECTOR[0] + _contract(mu2_powers, _LOG_SERIES_VECTOR[1:])
     with np.errstate(divide="ignore", invalid="ignore"):  # ln(-mu) is infinite at z = 1
         values[outer] = _log_series_head(mu, np.log(-mu), odd)
-    axis = az >= 1.0
-    if axis.any():  # z = +-1 after the projection, where z = 1 gave NaN above
-        axis &= z.imag == 0.0
-        values[axis] = np.where(z.real[axis] > 0.0, ZETA4, LI4_MINUS_ONE)
+    axis = (az >= 1.0) & (z.imag == 0.0)  # z = +-1 after the projection; z = 1 gave NaN
+    values[axis] = np.where(z.real[axis] > 0.0, ZETA4, LI4_MINUS_ONE)
     return values
 
 

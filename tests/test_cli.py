@@ -208,6 +208,26 @@ class TestConfigGrammar:
         assert "sweep log 1.0 10.0 3\n" in text
         assert parse_config(text) == config
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_numpy_float_fields_round_trip(self, dtype):
+        # every float field is written as a Python float, which parses back
+        def config(v):
+            return RunConfig(
+                plates=(ConstantConductivity(v(0.5)), GenericDeltaPlate(v(0.1), v(1.5)), SweepSlot()),
+                gaps=(v(1.5), v(0.75)),
+                rel_tol=v(1e-6),
+                abs_tol=v(1e-12),
+                sweep_grid=SweepGrid("log", v(0.1), v(10.0), 3),
+            )
+
+        numpy_config = config(dtype)
+        text = format_config(numpy_config)
+        assert text == format_config(config(lambda x: float(dtype(x))))
+        assert "np." not in text
+        assert parse_config(text) == numpy_config
+        if dtype is np.float64:
+            assert "rel-tol 1e-06\n" in text and "sweep log 0.1 10.0 3\n" in text
+
     @pytest.mark.parametrize("field", ["label", "output"])
     @pytest.mark.parametrize("word", ["my#run", "my run", "", " run", "run\n"])
     def test_rejects_words_that_do_not_round_trip(self, field, word):

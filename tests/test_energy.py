@@ -84,15 +84,16 @@ def uniform_stack(plates, gap=1.0):
 @pytest.fixture
 def delta_evaluations(monkeypatch):
     """A function that solves a stack by quadrature and returns how many
-    Delta values the solve evaluated."""
+    Delta values the solve evaluated, both polarizations counted."""
     import casimir_plates.energy as energy_mod
 
     real_delta = energy_mod.delta_total
     evaluations = [0]
 
     def counted_delta(r, t, gaps, s):
-        evaluations[0] += s.size
-        return real_delta(r, t, gaps, s)
+        d = real_delta(r, t, gaps, s)
+        evaluations[0] += d.size
+        return d
 
     monkeypatch.setattr(energy_mod, "delta_total", counted_delta)
 
@@ -837,6 +838,14 @@ class TestNodePipelineOracle:
         assert len(calls) == 4
         assert sum(m == ConstantConductivity(0.0) for m, _ in calls) == 2
 
+    def test_numpy_plate_solves_as_its_float_twin(self):
+        # the two plates are equal, so the dedupe may copy either one's columns
+        plate = GenericDeltaPlate(np.float32(0.1), 1.0)
+        twin = GenericDeltaPlate(float(np.float32(0.1)), 1.0)
+        expected = energy_ratio(uniform_stack([twin, twin]))
+        for plates in ([plate, twin], [twin, plate], [plate, plate]):
+            assert energy_ratio(uniform_stack(plates)) == expected
+
     @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)
     def test_unit_disk_error_equals_the_plain_pipeline(self, monkeypatch, pol):
         # amplitudes past 1 at t > 0.4 in one polarization push eigenvalues
@@ -866,65 +875,6 @@ class TestNodePipelineOracle:
                 else:
                     assert energy_mod._polylog_panel(stack, t).tobytes() == expected.tobytes()
         assert raised >= 12
-
-
-class TestNodePipelineFacts:
-    """What the pipeline's shortcuts rest on: LAPACK's order of conjugate
-    eigenvalues, and a 1x1 matrix's entry as its eigenvalue."""
-
-    @staticmethod
-    def matrices(rng, n):
-        """Seeded real ``n x n`` matrices: random, with a repeated complex
-        pair, and block diagonal from an opaque plate."""
-        out = [rng.uniform(-0.5, 0.5, (n, n)) for _ in range(40)]
-        if n >= 4:
-            block = rng.uniform(-0.5, 0.5, (2, 2))
-            block[0, 1], block[1, 0] = 0.3, -0.3  # a complex pair
-            rest = rng.uniform(-0.5, 0.5, (n - 4, n - 4))
-            repeated = np.zeros((n, n))
-            repeated[:2, :2] = repeated[2:4, 2:4] = block
-            repeated[4:, 4:] = rest
-            out.append(repeated)
-            q = rng.uniform(-1.0, 1.0, (n, n))
-            out.append(q @ repeated @ np.linalg.inv(q))
-        for pol in Polarization:
-            plates = [PLATE_KINDS[i]() for i in rng.integers(1, 5, n + 1)]
-            if n > 1:  # an opaque interior plate
-                plates[int(rng.integers(1, n))] = PE
-            t = oracle_nodes(rng, 1)[0]
-            r, t_coef = (np.array(c).T for c in zip(*(coefficients(p, pol, t) for p in plates)))
-            out.extend(round_trip_matrix(r, t_coef))
-        return np.array(out)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_each_eigenvalue_below_the_axis_follows_its_conjugate(self, n):
-        w = _inverse_roots(self.matrices(np.random.default_rng(20261022 + n), n))
-        below = np.argwhere(w.imag < 0.0)
-        assert (below[:, 1] > 0).all()
-        for row, j in below:
-            assert w[row, j].tobytes() == np.conj(w[row, j - 1]).tobytes()
-        if n >= 2:
-            assert below.size > 0
-
-    def test_one_by_one_shortcut_equals_lapack(self, monkeypatch):
-        # LAPACK rescales a nonzero entry below 2**-459 or above 2**459 and
-        # may round it; those stacks still go to LAPACK
-        edge = 2.0**-459
-        entries = [0.0, -0.0, 0.25, -1.0, 1.0, 0.7, edge, -edge, 2.0**459, 1e-300, -3e-160,
-                   np.nextafter(edge, 0.0), 5e-324, 1e150]
-        entries += np.random.default_rng(20261023).uniform(-1.0, 1.0, 50).tolist()
-        for x in entries:
-            m = np.array([[[x]], [[0.5]]])
-            w = _inverse_roots(m)
-            lapack = np.linalg.eigvals(m)
-            assert (w.dtype, w.shape, w.tobytes()) == (lapack.dtype, lapack.shape, lapack.tobytes()), x
-
-        def no_lapack(m):
-            raise AssertionError("eigvals called on 1x1 matrices")
-
-        m = np.random.default_rng(20261024).uniform(-1.0, 1.0, (2, 2, 31, 1, 1))
-        monkeypatch.setattr(np.linalg, "eigvals", no_lapack)
-        assert _inverse_roots(m).tolist() == m[..., 0].tolist()
 
 
 class TestLongUniformStacks:
@@ -1129,9 +1079,10 @@ class TestQuadratureRoute:
 
         def poisoned_delta(r, t, gaps, s):
             d = np.array(real_delta(r, t, gaps, s))
-            d[1, 7] = -0.25
-            d[1, 20] = 0.0
-            d[2, 0] = -1.0  # a later row: (row, column) order names row 1
+            d[0, 1, 7] = -0.25
+            d[0, 1, 20] = 0.0
+            d[0, 2, 0] = -1.0  # a later row: (row, column) order names row 1
+            d[1, 0, 0] = -2.0  # TE: (polarization, row, column) order names TM
             bad_s.append(s[1, 7])
             rows_seen.append(s.shape[0])
             return d
@@ -1150,6 +1101,48 @@ class TestQuadratureRoute:
         assert f"t={float(seen_t[0][1])!r}" in message
         assert f"s={float(bad_s[-1])!r}" in message
 
+    def test_domain_error_in_te_alone_names_its_node_and_frequency(self, monkeypatch):
+        import casimir_plates.energy as energy_mod
+
+        real_delta = energy_mod.delta_total
+        real_tables = energy_mod._coefficient_tables
+        seen_t, bad_s = [], []
+
+        def coefficient_tables(stack, t):
+            seen_t.append(t)
+            return real_tables(stack, t)
+
+        def poisoned_delta(r, t, gaps, s):
+            d = np.array(real_delta(r, t, gaps, s))
+            d[1, 4, 11] = -0.5
+            bad_s.append(s[4, 11])
+            return d
+
+        monkeypatch.setattr(energy_mod, "_coefficient_tables", coefficient_tables)
+        monkeypatch.setattr(energy_mod, "delta_total", poisoned_delta)
+        stack = StackSpec((GRAPHENE, GRAPHENE, GRAPHENE), (1.0, 2.0))
+        with pytest.raises(DeltaDomainError) as err:
+            energy_ratio_quadrature(stack, QuadratureSpec(rel_tol=1e-6))
+        assert str(err.value) == (
+            f"Delta = -0.5 at t={float(seen_t[0][4])!r}, s={float(bad_s[0])!r}: "
+            "invalid coefficient regime"
+        )
+
+    def test_one_delta_call_covers_both_polarizations(self, monkeypatch):
+        import casimir_plates.energy as energy_mod
+
+        real_delta = energy_mod.delta_total
+        shapes = []
+
+        def recorded_delta(r, t, gaps, s):
+            d = real_delta(r, t, gaps, s)
+            shapes.append((d.shape, s.shape))
+            return d
+
+        monkeypatch.setattr(energy_mod, "delta_total", recorded_delta)
+        energy_ratio_quadrature(StackSpec((GRAPHENE, PE, GRAPHENE), (1.0, 2.0)), QuadratureSpec(1e-6))
+        assert shapes and all(d == (2,) + s for d, s in shapes)
+
     @pytest.mark.parametrize("bad", [0.0, -5e-324])
     def test_domain_error_names_an_underflow(self, monkeypatch, bad):
         import casimir_plates.energy as energy_mod
@@ -1158,7 +1151,7 @@ class TestQuadratureRoute:
 
         def poisoned_delta(r, t, gaps, s):
             d = np.array(real_delta(r, t, gaps, s))
-            d[1, 7] = bad
+            d[0, 1, 7] = bad
             return d
 
         monkeypatch.setattr(energy_mod, "delta_total", poisoned_delta)

@@ -104,6 +104,16 @@ class TestConstantConductivity:
             for a, b in zip(coefficients(plate, pol, t), coefficients(ConstantConductivity(0.0), pol, t)):
                 assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_numpy_sigma_is_stored_as_a_float(self, dtype):
+        # an equal plate must give the same amplitudes, not float32 ones
+        plate, twin = ConstantConductivity(dtype(0.1)), ConstantConductivity(float(dtype(0.1)))
+        assert type(plate.sigma) is float and plate.sigma == twin.sigma
+        t = np.linspace(0.0, 1.0, 5)
+        for pol in Polarization:
+            for a, b in zip(coefficients(plate, pol, t), coefficients(twin, pol, t)):
+                assert a.tobytes() == b.tobytes()
+
 
 class TestIdealPlates:
     def test_perfect_electric(self):
@@ -177,6 +187,19 @@ class TestGenericDeltaPlate:
         assert not np.signbit(plate.lambda_e) and not np.signbit(plate.lambda_g)
         assert GenericDeltaPlate(1.5, -0.0) == GenericDeltaPlate(1.5, 0.0)
         assert repr(GenericDeltaPlate(1.5, -0.0)) == repr(GenericDeltaPlate(1.5, 0.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_numpy_couplings_are_stored_as_floats(self, dtype):
+        # GenericDeltaPlate(np.float32(0.1), 1.0) is == and hash-equal to its
+        # float twin, so its TM amplitudes must not be float32 ones
+        plate = GenericDeltaPlate(dtype(0.1), dtype(1.0))
+        twin = GenericDeltaPlate(float(dtype(0.1)), 1.0)
+        assert type(plate.lambda_e) is float and type(plate.lambda_g) is float
+        assert repr(plate) == repr(twin)
+        t = np.linspace(0.0, 1.0, 5)
+        for pol in Polarization:
+            for a, b in zip(coefficients(plate, pol, t), coefficients(twin, pol, t)):
+                assert a.tobytes() == b.tobytes()
 
 
 MATERIALS = (

@@ -236,9 +236,9 @@ class TestLi4Array:
             assert np.array(li4(z.real)).tobytes() == kernel.real.tobytes(), z.real
 
     def test_conjugation_symmetry_bit_for_bit(self):
-        # `_li4_root_sum` copies the real part of Li4 at an eigenvalue below
-        # the real axis from its conjugate's; on the axis itself, x + 0j and
-        # x - 0j may differ in the sign of a zero imaginary part
+        # `_li4_root_sum` adds the real parts of a conjugate pair's Li4 values,
+        # so they must be equal; on the axis itself, x + 0j and x - 0j may
+        # differ in the sign of a zero imaginary part
         rng = np.random.default_rng(20261020)
         inner = np.sqrt(rng.uniform(0.0, 0.25, 500)) * np.exp(1j * rng.uniform(-4.0, 4.0, 500))
         outer = np.sqrt(rng.uniform(0.25, 1.0, 500)) * np.exp(1j * rng.uniform(-4.0, 4.0, 500))
