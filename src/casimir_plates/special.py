@@ -174,10 +174,10 @@ def _li4_array(z) -> np.ndarray:
 
     The one Li4 kernel; `li4` is its 0-d case.  Returns a complex array of
     the same shape.  The elements on either side of the switch radius
-    ``|z| = 1/2`` are gathered into one vector each, whose series is its
-    power table (``z^k``, ``k <= 34``, or ``(mu^2)^k``, ``k <= 20``)
-    contracted with the coefficients.  ``mu = ln min(|z|, 1) + i arg z``
-    projects an overshoot onto the unit circle.  A real ``z`` on or past
+    ``|z| = 1/2`` are gathered into one vector each, maybe empty, whose
+    series is its power table (``z^k``, ``k <= 34``, or ``(mu^2)^k``,
+    ``k <= 20``) contracted with the coefficients.  ``mu = ln min(|z|, 1)
+    + i arg z`` projects an overshoot onto the unit circle.  A real ``z`` on or past
     the circle gives ``ZETA4`` at ``+1`` and ``LI4_MINUS_ONE`` at ``-1``
     exactly.  Any other real ``x <= -1/2`` takes the log series like a
     complex argument, with an error of up to about 3.4e-15.  Each value
