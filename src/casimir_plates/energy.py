@@ -145,11 +145,6 @@ class StackSpec:
         return all(g == self.gaps[0] for g in self.gaps)
 
     @property
-    def unit_gaps(self) -> bool:
-        """Every gap equal to the reference gap, 1."""
-        return all(g == 1.0 for g in self.gaps)
-
-    @property
     def all_ideal(self) -> bool:
         return all(isinstance(p, (PerfectElectric, PerfectMagnetic)) for p in self.plates)
 
@@ -190,16 +185,13 @@ def _require_bound(stack: StackSpec):
 def _check_route(stack: StackSpec, method: str) -> None:
     """Reject an unknown method, and a stack its route cannot evaluate.
 
-    ``ideal`` needs perfect conductors at unit gaps, ``polylog`` uniform
+    ``ideal`` needs perfect conductors, ``polylog`` uniform
     gaps.  Config validation applies the same rules to its stacks.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {', '.join(_METHODS)}, got {method!r}")
-    if method == "ideal":
-        if not stack.all_ideal:
-            raise ValueError("method 'ideal' requires perfect-conductor plates only")
-        if not stack.unit_gaps:
-            raise ValueError("method 'ideal' requires unit gaps")
+    if method == "ideal" and not stack.all_ideal:
+        raise ValueError("method 'ideal' requires perfect-conductor plates only")
     if method == "polylog" and not stack.uniform:
         raise ValueError("method 'polylog' requires uniform gaps")
 
@@ -374,16 +366,16 @@ def energy_ratio_quadrature(
 
 
 def ideal_stack_ratio(stack: StackSpec) -> Fraction:
-    """Exact energy ratio of a stack of perfect conductors at unit gaps.
+    """Exact energy ratio of a stack of perfect conductors at any gaps.
 
     Opacity makes the energy pairwise additive: each adjacent pair of equal
-    type contributes 1, each opposite pair contributes -7/8.
+    type at gap ``g`` contributes 1/g**3, each opposite pair -7/8/g**3.
     """
     _require_bound(stack)
     _check_route(stack, "ideal")
     total = Fraction(0)
-    for left, right in zip(stack.plates[:-1], stack.plates[1:]):
-        total += Fraction(1) if type(left) is type(right) else Fraction(-7, 8)
+    for left, right, g in zip(stack.plates[:-1], stack.plates[1:], stack.gaps):
+        total += (Fraction(1) if type(left) is type(right) else Fraction(-7, 8)) / Fraction(g) ** 3
     return total
 
 
@@ -394,7 +386,7 @@ def energy_ratio(
 ) -> EnergyResult:
     """Energy ratio by the requested route.
 
-    ``auto`` picks the exact route for all-ideal unit stacks, otherwise the
+    ``auto`` picks the exact route for all-ideal stacks, otherwise the
     polylog route for uniform gaps, at any number of plates, kept only when
     its ``err_estimate`` meets ``max(abs_tol, rel_tol * |ratio|)``.  Otherwise, or when that route
     aborts, the quadrature route runs, and of two results the one with the
@@ -402,15 +394,17 @@ def energy_ratio(
     the tolerance.
     """
     spec = spec or QuadratureSpec()
-    if method == "auto" and stack.all_ideal and stack.unit_gaps:
+    if method == "auto" and stack.all_ideal:
         method = "ideal"
     if method == "polylog":
         return energy_ratio_polylog(stack, spec)
     if method == "quadrature":
         return energy_ratio_quadrature(stack, spec)
     if method == "ideal":
-        ratio = float(ideal_stack_ratio(stack))
-        return EnergyResult(ratio, ratio / stack.n_plates, "ideal", 0.0)
+        exact = ideal_stack_ratio(stack)
+        ratio = float(exact)
+        error = 0.0 if Fraction(ratio) == exact else math.ulp(ratio)  # bounds the rounding
+        return EnergyResult(ratio, ratio / stack.n_plates, "ideal", error)
     _check_route(stack, method)  # the routes above check their own; here only "auto" passes
     if stack.uniform:
         try:

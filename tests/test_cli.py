@@ -38,7 +38,6 @@ G, PE, SLOT_PLATE = ConstantConductivity(0.5), PerfectElectric(), SweepSlot()
 ROUTE_FAULTS = {
     "unknown-method": ((PE, PerfectMagnetic()), (1.0,), "fft"),
     "ideal-on-graphene": ((G, G), (1.0,), "ideal"),
-    "ideal-at-gap-2": ((PE, PE), (2.0,), "ideal"),
     "polylog-at-gaps-1-2": ((G, G, G), (1.0, 2.0), "polylog"),
 }
 SWEEP_FAULTS = {  # template plates, library grid, config grid
@@ -137,7 +136,6 @@ class TestConfigGrammar:
             (TWO + "output a b\n", "line 3: output takes one path"),
             (TWO + "label a b\n", "line 3: label takes one word"),
             (TWO + "colour red\n", "line 3: unknown directive 'colour'"),
-            (TWO + "gaps 2\nmethod ideal\n", "method 'ideal' requires unit gaps"),
             (SLOT + "sweep log 1 10 0\n", "sweep needs at least one point"),
             (SLOT + "sweep log 0 10 5\n", "log sweeps need a positive start"),
             (SLOT + "sweep linear -1 10 5\n", "conductivities are non-negative"),
@@ -403,6 +401,15 @@ class TestCliRuns:
         assert rows[0] == "sigma,ratio,per_plate,err_estimate,method"
         assert float(rows[1].split(",")[1]) == pytest.approx(0.00538, abs=5e-5)
         assert "twin-sheets" in captured.err
+
+    def test_ideal_method_at_unequal_gaps(self, tmp_path, capsys):
+        # perfect conductors take the exact route at any gaps: 1 + 1/2**3
+        cfg = tmp_path / "stack.cfg"
+        cfg.write_text("plate pe\nplate pe\nplate pe\ngaps 1 2\nmethod ideal\n")
+        assert main(["--config", str(cfg)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1] == "1.125000000e+00"
+        assert row[3:] == ["0.000000000e+00", "ideal"]
 
     def test_config_output_directive(self, tmp_path):
         target = tmp_path / "directed.csv"

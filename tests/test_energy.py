@@ -176,6 +176,18 @@ class TestClosedFormStructure:
         assert result.ratio == pytest.approx(expected, rel=1e-10)
 
 
+# all-ideal stacks at gaps other than 1, each with its exact ratio sum c_k / g_k**3
+IDEAL_AT_GAPS = {
+    "PE-PE-PE-gaps-1-2": ((PE, PE, PE), (1.0, 2.0), 1 + Fraction(1, 8)),
+    "PE-PM-PE-gaps-1.5-0.5": ((PE, PM, PE), (1.5, 0.5), Fraction(-7, 8) * (Fraction(8, 27) + 8)),
+    "PM-PM-PE-PE-gaps-0.75-1-2": (
+        (PM, PM, PE, PE), (0.75, 1.0, 2.0), Fraction(64, 27) - Fraction(7, 8) + Fraction(1, 8)
+    ),
+    "PE-PE-gap-3": ((PE, PE), (3.0,), Fraction(1, 27)),
+    "PE-PE-gap-0.1": ((PE, PE), (0.1,), 1 / Fraction(0.1) ** 3),
+}
+
+
 class TestIdealStacks:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_all_conductors(self, n):
@@ -198,9 +210,23 @@ class TestIdealStacks:
         with pytest.raises(ValueError):
             ideal_stack_ratio(uniform_stack([PE, GRAPHENE]))
 
-    def test_rejects_non_unit_gaps(self):
-        with pytest.raises(ValueError):
-            ideal_stack_ratio(uniform_stack([PE, PE], gap=2.0))
+    @pytest.mark.parametrize("plates, gaps, exact", IDEAL_AT_GAPS.values(), ids=IDEAL_AT_GAPS)
+    def test_auto_is_exact_at_any_gaps(self, plates, gaps, exact):
+        stack = StackSpec(plates, gaps)
+        assert ideal_stack_ratio(stack) == exact
+        result = energy_ratio(stack)
+        assert result.method == "ideal"
+        assert abs(Fraction(result.ratio) - exact) <= Fraction(result.err_estimate)
+
+    def test_exact_in_the_float_gaps(self):
+        # a gap of 0.1 is the float nearest 1/10, so the ratio is not 1000
+        exact = ideal_stack_ratio(StackSpec((PE, PE), (0.1,)))
+        assert exact == 1 / Fraction(0.1) ** 3 != 1000
+        assert energy_ratio(StackSpec((PE, PE), (0.1,))).err_estimate > 0.0
+
+    def test_float_ratios_carry_no_error(self):
+        result = energy_ratio(StackSpec((PE, PE, PE), (1.0, 2.0)))
+        assert (result.ratio, result.err_estimate) == (1.125, 0.0)
 
     def test_quadrature_agrees_with_exact_ratios(self):
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
