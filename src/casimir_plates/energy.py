@@ -12,8 +12,10 @@ evaluation routes are provided:
 * a direct two-dimensional quadrature of ``ln Delta`` over the full
   (angle, frequency) domain, valid for any gaps and any material mix.
 
-For stacks of perfect conductors the ratio is also available in exact
-rational arithmetic.
+For stacks of perfect conductors, at any gaps, the ratio is also available
+in exact rational arithmetic: pairs add, each scaled by ``1 / g**3`` with
+the float gap ``g`` taken exactly, so a gap of ``0.1`` gives
+``1 / Fraction(0.1)**3``, not 1000.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ _PREFACTOR_QUAD = -45.0 / (2.0 * math.pi**4)
 # The error bound of the Li4 kernel `_li4_array`, charged to a node once per Li4 term.
 _LI4_ERROR = 1e-14
 
+# The gaps a stack admits, 2**-300 to 2**300: every route forms g**3 and
+# 1/g**3, which stay finite and normal, and the exact route's sum stays far
+# from overflow at any number of plates.
+_GAP_RANGE = (2.0**-300, 2.0**300)
+
 # The evaluation routes `energy_ratio` accepts.
 _METHODS = ("auto", "polylog", "quadrature", "ideal")
 
@@ -114,8 +121,9 @@ class StackSpec:
     """An ordered stack of plates with dimensionless gap lengths.
 
     ``gaps[i]`` is the distance between plates ``i`` and ``i + 1`` in units
-    of the reference gap.  Sweep slots are admitted so the object can serve
-    as a sweep template, but must be bound before any energy evaluation.
+    of the reference gap, from ``2**-300`` to ``2**300``.  Sweep slots are
+    admitted so the object can serve as a sweep template, but must be bound
+    before any energy evaluation.
     """
 
     plates: Tuple[Material, ...]
@@ -130,8 +138,11 @@ class StackSpec:
             raise ValueError(
                 f"{len(plates)} plates need {len(plates) - 1} gaps, got {len(gaps)}"
             )
-        if not all(g > 0.0 and math.isfinite(g) for g in gaps):
-            raise ValueError(f"gaps must be positive and finite, got {gaps}")
+        low, high = _GAP_RANGE
+        if not all(low <= g <= high for g in gaps):
+            raise ValueError(
+                f"gaps must be positive and finite, from 2**-300 to 2**300, got {gaps}"
+            )
         object.__setattr__(self, "plates", plates)
         object.__setattr__(self, "gaps", gaps)
 
@@ -185,7 +196,7 @@ def _require_bound(stack: StackSpec):
 def _check_route(stack: StackSpec, method: str) -> None:
     """Reject an unknown method, and a stack its route cannot evaluate.
 
-    ``ideal`` needs perfect conductors, ``polylog`` uniform
+    ``ideal`` needs perfect conductors, at any gaps; ``polylog`` uniform
     gaps.  Config validation applies the same rules to its stacks.
     """
     if method not in _METHODS:
@@ -366,10 +377,12 @@ def energy_ratio_quadrature(
 
 
 def ideal_stack_ratio(stack: StackSpec) -> Fraction:
-    """Exact energy ratio of a stack of perfect conductors at any gaps.
+    """Exact energy ratio of a stack of perfect conductors, at any gaps.
 
-    Opacity makes the energy pairwise additive: each adjacent pair of equal
-    type at gap ``g`` contributes 1/g**3, each opposite pair -7/8/g**3.
+    Opacity makes the energy pairwise additive: an adjacent pair of equal
+    type at gap ``g`` contributes ``1 / g**3``, an opposite pair
+    ``-7/8 / g**3``.  The sum is exact in the float gaps: a gap of ``0.1``
+    contributes ``1 / Fraction(0.1)**3``, not 1000.
     """
     _require_bound(stack)
     _check_route(stack, "ideal")
@@ -386,8 +399,11 @@ def energy_ratio(
 ) -> EnergyResult:
     """Energy ratio by the requested route.
 
-    ``auto`` picks the exact route for all-ideal stacks, otherwise the
-    polylog route for uniform gaps, at any number of plates, kept only when
+    ``auto`` picks the exact route for every stack of perfect conductors, at
+    any gaps, exact in the float gaps (see `ideal_stack_ratio`); its
+    ``err_estimate`` is 0 where that exact ratio is a float, and one unit in
+    the last place of ``ratio`` otherwise.  Other stacks take the polylog
+    route for uniform gaps, at any number of plates, kept only when
     its ``err_estimate`` meets ``max(abs_tol, rel_tol * |ratio|)``.  Otherwise, or when that route
     aborts, the quadrature route runs, and of two results the one with the
     smaller estimate is returned.  That fallback is not yet checked against

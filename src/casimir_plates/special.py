@@ -119,6 +119,8 @@ class QuadratureSpec:
                 f"tolerances must be positive and finite, got rel_tol={self.rel_tol!r}, "
                 f"abs_tol={self.abs_tol!r}"
             )
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))  # as the plates store theirs
+        object.__setattr__(self, "abs_tol", float(self.abs_tol))
         budget = self.max_subdivisions
         if not _is_integer(budget) or budget < 1:
             raise ValueError(f"max_subdivisions must be an integer of at least 1, got {budget!r}")

@@ -136,6 +136,7 @@ class TestConfigGrammar:
             (TWO + "output a b\n", "line 3: output takes one path"),
             (TWO + "label a b\n", "line 3: label takes one word"),
             (TWO + "colour red\n", "line 3: unknown directive 'colour'"),
+            (TWO + "gaps 1e-110\n", "gaps must be positive and finite, from 2**-300 to 2**300"),
             (SLOT + "sweep log 1 10 0\n", "sweep needs at least one point"),
             (SLOT + "sweep log 0 10 5\n", "log sweeps need a positive start"),
             (SLOT + "sweep linear -1 10 5\n", "conductivities are non-negative"),
@@ -205,6 +206,12 @@ class TestConfigGrammar:
         text = format_config(config)
         assert "sweep log 1.0 10.0 3\n" in text
         assert parse_config(text) == config
+
+    def test_numpy_tolerances_reach_the_spec_as_floats(self):
+        config = RunConfig(plates=(PerfectElectric(), PerfectMagnetic()), rel_tol=np.float32(1e-6))
+        spec = config.quadrature_spec()
+        assert type(spec.rel_tol) is float and type(spec.abs_tol) is float
+        assert spec.rel_tol == float(np.float32(1e-6))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_numpy_float_fields_round_trip(self, dtype):
@@ -317,6 +324,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "energy_ratio", reject)
         assert cli_mod.main(["--preset", "boyer-pair"]) == 2
         assert "error: boyer-pair: synthetic unusable stack" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gap, method", [("1e-110", "auto"), ("1e110", "quadrature")])
+    def test_gap_out_of_range(self, tmp_path, capsys, gap, method):
+        # g**3 once underflowed or overflowed mid-solve, a traceback and exit 1
+        cfg = tmp_path / "stack.cfg"
+        cfg.write_text(f"plate sigma 0.0229\nplate sigma 0.0229\ngaps {gap}\nmethod {method}\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "from 2**-300 to 2**300" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 4

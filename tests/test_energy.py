@@ -231,13 +231,14 @@ class TestIdealStacks:
     def test_quadrature_agrees_with_exact_ratios(self):
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
         cases = [
-            ([PE, PE, PE], Fraction(2)),
-            ([PE, PM, PE], Fraction(-7, 4)),
-            ([PM, PM, PE, PE], Fraction(2) - Fraction(7, 8)),
+            ((PE, PE, PE), (1.0, 1.0), Fraction(2)),
+            ((PE, PM, PE), (1.0, 1.0), Fraction(-7, 4)),
+            ((PM, PM, PE, PE), (1.0, 1.0, 1.0), Fraction(2) - Fraction(7, 8)),
+            *IDEAL_AT_GAPS.values(),
         ]
-        for plates, exact in cases:
-            result = energy_ratio_quadrature(uniform_stack(plates), spec)
-            assert result.ratio == pytest.approx(float(exact), abs=1e-6)
+        for plates, gaps, exact in cases:
+            result = energy_ratio_quadrature(StackSpec(plates, gaps), spec)
+            assert abs(Fraction(result.ratio) - exact) <= Fraction(result.err_estimate)
 
     def test_polylog_on_ideal_stacks(self):
         result = energy_ratio_polylog(uniform_stack([PE, PM, PE, PM, PE]))
@@ -546,6 +547,20 @@ class TestResultAndSpecValidation:
             StackSpec((GRAPHENE, GRAPHENE), (-1.0,))
         with pytest.raises(ValueError):
             StackSpec((GRAPHENE, GRAPHENE), (math.inf,))
+
+    @pytest.mark.parametrize("gap", [1e-110, 1e110, 0.999 * 2.0**-300, 1.001 * 2.0**300])
+    def test_refuses_gaps_outside_the_range(self, gap):
+        # below it g**3 underflows to 0, above it overflows
+        with pytest.raises(ValueError, match=r"from 2\*\*-300 to 2\*\*300"):
+            StackSpec((GRAPHENE, GRAPHENE), (gap,))
+
+    @pytest.mark.parametrize("gap", [2.0**-300, 2.0**300])
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_every_route_is_finite_at_the_ends_of_the_range(self, gap, method):
+        for plates in ((GRAPHENE, GRAPHENE), (PE, PM, PE)):
+            result = energy_ratio(StackSpec(plates, (gap,) * (len(plates) - 1)), method=method)
+            assert math.isfinite(result.ratio) and result.ratio != 0.0
+            assert math.isfinite(result.err_estimate)
 
     def test_error_estimate_sign(self):
         with pytest.raises(ValueError):

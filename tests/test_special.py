@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from casimir_plates import special
 from casimir_plates.special import (
     LI4_MINUS_ONE,
     ZETA4,
@@ -409,6 +410,15 @@ class TestIntegrateT:
         with pytest.raises(ValueError, match="max_subdivisions"):
             QuadratureSpec(max_subdivisions=budget)
 
+    def test_tolerances_are_stored_as_python_floats(self):
+        spec = QuadratureSpec(rel_tol=np.float32(1e-6), abs_tol=np.float32(1e-12))
+        assert type(spec.rel_tol) is float and type(spec.abs_tol) is float
+        assert spec.rel_tol == float(np.float32(1e-6))
+        # a float64 keeps its bits
+        assert QuadratureSpec(abs_tol=np.float64(0.1)).abs_tol.hex() == (0.1).hex()
+        with pytest.raises(TypeError):
+            QuadratureSpec(rel_tol="1e-6")
+
     def test_subdivision_budget_takes_a_numpy_integer(self):
         assert QuadratureSpec(max_subdivisions=np.int64(3)).max_subdivisions == 3
 
@@ -681,6 +691,22 @@ class TestIntegrate2D:
         exact = float(-2 * mpmath.nsum(lambda k: c**k / (k**4 * (k + 1)), [1, mpmath.inf]))
         assert exact == pytest.approx(-0.83073882798529, abs=1e-14)
         self.assert_exact(lambda t, s: np.log(1.0 - 0.8 * t * np.exp(-s)), exact, rel=1e-9)
+
+    def test_inner_spec_compares_in_float64(self, monkeypatch):
+        # a float32 tolerance times 0.1 would stay float32 under numpy 2
+        specs = []
+        driver = special._integrate_many
+
+        def spy(g, m, spec, *start):
+            specs.append(spec)
+            return driver(g, m, spec, *start)
+
+        monkeypatch.setattr(special, "_integrate_many", spy)
+        spec = QuadratureSpec(rel_tol=np.float32(1e-6))
+        _integrate_2d_bound(_kernel(lambda t, s: np.exp(-s)), spec)
+        outer, inner = specs[0], specs[-1]
+        assert (outer.rel_tol, inner.rel_tol) == (float(np.float32(1e-6)), outer.rel_tol * 0.1)
+        assert {type(tol) for s in specs for tol in (s.rel_tol, s.abs_tol)} == {float}
 
     def test_determinism(self):
         f = _kernel(lambda t, s: np.log(1.0 - 0.5 * np.exp(-s) * (1 - t)))
