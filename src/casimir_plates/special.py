@@ -119,7 +119,8 @@ class QuadratureSpec:
                 f"tolerances must be positive and finite, got rel_tol={self.rel_tol!r}, "
                 f"abs_tol={self.abs_tol!r}"
             )
-        object.__setattr__(self, "rel_tol", float(self.rel_tol))  # as the plates store theirs
+        # Python floats, so that the integrators compare in float64
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
         object.__setattr__(self, "abs_tol", float(self.abs_tol))
         budget = self.max_subdivisions
         if not _is_integer(budget) or budget < 1:

@@ -184,6 +184,7 @@ IDEAL_AT_GAPS = {
         (PM, PM, PE, PE), (0.75, 1.0, 2.0), Fraction(64, 27) - Fraction(7, 8) + Fraction(1, 8)
     ),
     "PE-PE-gap-3": ((PE, PE), (3.0,), Fraction(1, 27)),
+    # the float nearest 1/10, so not 1000
     "PE-PE-gap-0.1": ((PE, PE), (0.1,), 1 / Fraction(0.1) ** 3),
 }
 
@@ -217,16 +218,8 @@ class TestIdealStacks:
         result = energy_ratio(stack)
         assert result.method == "ideal"
         assert abs(Fraction(result.ratio) - exact) <= Fraction(result.err_estimate)
-
-    def test_exact_in_the_float_gaps(self):
-        # a gap of 0.1 is the float nearest 1/10, so the ratio is not 1000
-        exact = ideal_stack_ratio(StackSpec((PE, PE), (0.1,)))
-        assert exact == 1 / Fraction(0.1) ** 3 != 1000
-        assert energy_ratio(StackSpec((PE, PE), (0.1,))).err_estimate > 0.0
-
-    def test_float_ratios_carry_no_error(self):
-        result = energy_ratio(StackSpec((PE, PE, PE), (1.0, 2.0)))
-        assert (result.ratio, result.err_estimate) == (1.125, 0.0)
+        # no error where the exact ratio is a float, as 9/8 is
+        assert (result.err_estimate == 0.0) == (Fraction(result.ratio) == exact)
 
     def test_quadrature_agrees_with_exact_ratios(self):
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
@@ -547,12 +540,6 @@ class TestResultAndSpecValidation:
             StackSpec((GRAPHENE, GRAPHENE), (-1.0,))
         with pytest.raises(ValueError):
             StackSpec((GRAPHENE, GRAPHENE), (math.inf,))
-
-    @pytest.mark.parametrize("gap", [1e-110, 1e110, 0.999 * 2.0**-300, 1.001 * 2.0**300])
-    def test_refuses_gaps_outside_the_range(self, gap):
-        # below it g**3 underflows to 0, above it overflows
-        with pytest.raises(ValueError, match=r"from 2\*\*-300 to 2\*\*300"):
-            StackSpec((GRAPHENE, GRAPHENE), (gap,))
 
     @pytest.mark.parametrize("gap", [2.0**-300, 2.0**300])
     @pytest.mark.parametrize("method", ["auto", "quadrature"])

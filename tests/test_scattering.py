@@ -417,8 +417,9 @@ class TestValidation:
 
     def test_geometry_positive_gaps(self):
         plate = ConstantConductivity(1.0)
-        for bad in (-0.5, 0.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="gaps must be positive and finite"):
+        # the range keeps every route's g**3 and 1/g**3 finite and normal
+        for bad in (-0.5, 0.0, math.inf, math.nan, 1e-110, 1e110, 0.999 * 2.0**-300, 2.0**301):
+            with pytest.raises(ValueError, match="gaps must be positive and finite, from 2"):
                 energy.StackSpec((plate, plate, plate), (1.0, bad))
         with pytest.raises(ValueError):
             energy.StackSpec((plate,), ())
