@@ -26,7 +26,7 @@ from .energy import (
     energy_ratio,
     sweep,
 )
-from .presets import PRESET_NAMES, list_presets, preset_configs
+from .presets import list_presets, preset_configs
 from .special import QuadratureConvergenceError
 
 _HEADER = "sigma,ratio,per_plate,err_estimate,method"
@@ -82,7 +82,7 @@ def _run_config(config: RunConfig) -> Tuple[List[str], str]:
     if config.sweep_grid is not None:
         points = sweep(
             stack,
-            config.sweep_grid.values(),
+            config.sweep_grid,
             shared=config.sweep_shared,
             method=config.method,
             spec=spec,

@@ -19,7 +19,8 @@ stack plus run options::
     sweep-shared           # bind every slot to the same conductivity
     output results.csv     # optional, CLI flag takes precedence
 
-`parse_config` and `format_config` round-trip exactly.
+`parse_config` turns the ``sweep`` line into its conductivities, so a
+`RunConfig` holds the values a sweep runs, not a description of them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from .energy import StackSpec, _check_finite, _check_route, _check_sweep
+from .energy import StackSpec, _check_route, _check_sweep
 from .optics import (
     ConstantConductivity,
     GenericDeltaPlate,
@@ -41,18 +42,17 @@ from .optics import (
     SweepSlot,
     Transparent,
 )
-from .special import QuadratureSpec, _is_integer
+from .special import QuadratureSpec
 
 __all__ = [
     "ConfigError",
-    "SweepGrid",
     "RunConfig",
     "parse_config",
-    "format_config",
     "validate_config",
 ]
 
-_GRID_KINDS = ("log", "linear")
+# Sweep kind -> the numpy call that spaces its points.
+_GRIDS = {"log": np.geomspace, "linear": np.linspace}
 
 # Plate keyword -> the class and, in line order, the fields its line gives,
 # each with its name in error messages.  "plate sigma *" is a `SweepSlot`.
@@ -79,31 +79,13 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SweepGrid:
-    """Conductivity grid: ``points`` values from ``start`` to ``stop``."""
-
-    kind: str  # "log" | "linear"
-    start: float
-    stop: float
-    points: int
-
-    def values(self) -> Tuple[float, ...]:
-        points = max(self.points, 0)  # empty below one point
-        if self.kind == "log":
-            grid = np.geomspace(self.start, self.stop, points)
-        else:
-            grid = np.linspace(self.start, self.stop, points)
-        return tuple(float(v) for v in grid)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """One stack plus run options, as described by a config file."""
 
     plates: Tuple[Material, ...]
     gaps: Optional[Tuple[float, ...]] = None  # None means unit gaps
     method: str = "auto"
-    sweep_grid: Optional[SweepGrid] = None
+    sweep_grid: Optional[Tuple[float, ...]] = None  # the conductivities swept
     sweep_shared: bool = False
     rel_tol: Optional[float] = None
     abs_tol: Optional[float] = None
@@ -164,13 +146,13 @@ def parse_config(text: str) -> RunConfig:
             if not args:
                 raise ConfigError(f"line {lineno}: gaps needs at least one value")
             fields["gaps"] = tuple(_parse_float(a, lineno, "gap") for a in args)
-        elif key in _ONE_ARGUMENT:  # `validate_config` checks the words
+        elif key in _ONE_ARGUMENT:  # `validate_config` checks the method
             if len(args) != 1:
                 raise ConfigError(f"line {lineno}: {key} takes one {_ONE_ARGUMENT[key]}")
             value = _parse_float(args[0], lineno, key) if key.endswith("-tol") else args[0]
             fields[key.replace("-", "_")] = value
         elif key == "sweep":
-            if len(args) != 4 or args[0] not in _GRID_KINDS:
+            if len(args) != 4 or args[0] not in _GRIDS:
                 raise ConfigError(
                     f"line {lineno}: expected 'sweep log|linear <start> <stop> <points>'"
                 )
@@ -180,7 +162,10 @@ def parse_config(text: str) -> RunConfig:
                 points = int(args[3])
             except ValueError:
                 raise ConfigError(f"line {lineno}: sweep points must be an integer") from None
-            fields["sweep_grid"] = SweepGrid(args[0], start, stop, points)
+            if args[0] == "log" and not (start > 0.0 and stop > 0.0):
+                raise ConfigError(f"line {lineno}: log sweeps need a positive start and stop")
+            grid = _GRIDS[args[0]](start, stop, max(points, 0))  # empty below one point
+            fields["sweep_grid"] = tuple(float(v) for v in grid)
         elif key == "sweep-shared":
             if args:
                 raise ConfigError(f"line {lineno}: sweep-shared takes no parameters")
@@ -199,58 +184,14 @@ def validate_config(config: RunConfig) -> None:
     refused with the message the same library call would raise.
     """
     try:
-        # one word each, so that format_config's line parses back to the same value
-        for name, word in (("label", config.label), ("output", config.output)):
-            if word is not None and (word.split() != [word] or "#" in word):
-                raise ValueError(f"{name} must be one word without '#', got {word!r}")
         stack = config.to_spec()
         _check_route(stack, config.method)
-        grid = config.sweep_grid
-        if grid is None:
+        if config.sweep_grid is None:
             if stack.has_sweep_slot:
                 raise ValueError("sweepable plates need a 'sweep' grid")
         else:
-            # the rules a grid spec adds; `_check_sweep` checks the values it spans
-            if grid.kind not in _GRID_KINDS:
-                raise ValueError(
-                    f"sweep kind must be one of {', '.join(_GRID_KINDS)}, got {grid.kind!r}"
-                )
-            if not _is_integer(grid.points):
-                raise ValueError(f"sweep points must be an integer, got {grid.points!r}")
-            _check_finite((grid.start, grid.stop))
-            if grid.kind == "log" and not grid.start > 0.0:
-                raise ValueError("log sweeps need a positive start")
-            _check_sweep(stack, config.sweep_shared, grid.values())
+            _check_sweep(stack, config.sweep_shared, [float(s) for s in config.sweep_grid])
         config.quadrature_spec()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-
-def _format_plate(plate: Material) -> str:
-    if isinstance(plate, SweepSlot):
-        return "plate sigma *"
-    for kind, (cls, fields) in _PLATES.items():
-        if isinstance(plate, cls):
-            return " ".join(["plate", kind, *(repr(float(getattr(plate, f))) for f in fields)])
-    raise ConfigError(f"cannot format plate {plate!r}")
-
-
-def format_config(config: RunConfig) -> str:
-    """Render a config back to text; `parse_config` restores it exactly."""
-    lines = [f"label {config.label}"]
-    lines.extend(_format_plate(p) for p in config.plates)
-    if config.gaps is not None:
-        lines.append("gaps " + " ".join(repr(float(g)) for g in config.gaps))
-    lines.append(f"method {config.method}")
-    if config.rel_tol is not None:
-        lines.append(f"rel-tol {float(config.rel_tol)!r}")
-    if config.abs_tol is not None:
-        lines.append(f"abs-tol {float(config.abs_tol)!r}")
-    if config.sweep_grid is not None:
-        g = config.sweep_grid
-        lines.append(f"sweep {g.kind} {float(g.start)!r} {float(g.stop)!r} {g.points}")
-    if config.sweep_shared:
-        lines.append("sweep-shared")
-    if config.output is not None:
-        lines.append(f"output {config.output}")
-    return "\n".join(lines) + "\n"

@@ -203,13 +203,6 @@ def _check_route(stack: StackSpec, method: str) -> None:
         raise ValueError("method 'polylog' requires uniform gaps")
 
 
-def _check_finite(values: Sequence[float]) -> None:
-    """Reject a non-finite conductivity, or a non-finite end of a config's grid."""
-    for sigma in values:
-        if not math.isfinite(sigma):
-            raise ValueError(f"sweep conductivities must be finite, got {sigma!r}")
-
-
 def _check_sweep(template: StackSpec, shared: bool, grid: Sequence[float]) -> None:
     """Reject a sweep of ``template`` over ``grid`` that `sweep` cannot run.
 
@@ -225,7 +218,9 @@ def _check_sweep(template: StackSpec, shared: bool, grid: Sequence[float]) -> No
         )
     if not grid:
         raise ValueError("sweep needs at least one point")
-    _check_finite(grid)
+    for sigma in grid:
+        if not math.isfinite(sigma):
+            raise ValueError(f"sweep conductivities must be finite, got {sigma!r}")
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("sweep conductivities must be strictly increasing")
     if grid[0] < 0.0:
@@ -281,11 +276,11 @@ def _li4_root_sum(w: np.ndarray) -> np.ndarray:
     return _li4_array(w).real.sum(axis=-1)
 
 
-def _polylog_panel(stack: StackSpec, t: np.ndarray) -> np.ndarray:
+def _polylog_panel(stack: StackSpec, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Node values ``sum_pol sum_i Li4(w_i)`` and their floors at the nodes ``t``.
 
     ``t`` holds nodes on its last axis, panels on any before it; returns
-    shape ``(2,) + t.shape``: values, then floors.  The coefficient table
+    the values and the floors, each of ``t``'s shape.  The coefficient table
     holds both polarizations next to the node axis, so one `_inverse_roots`
     call and one `_li4_root_sum` call serve every panel, polarization and
     node.  An opaque plate makes ``M`` block diagonal, with the segments'
@@ -305,7 +300,7 @@ def _polylog_panel(stack: StackSpec, t: np.ndarray) -> np.ndarray:
         raise UnitDiskRootError(str(exc), t=float(t[(*panel, node)]), pol=pol) from exc
     values = 0.0 + sums[..., 0, :] + sums[..., 1, :]  # the polarizations in turn
     floors = np.full(t.shape, _LI4_ERROR * (2 * (stack.n_plates - 1)))
-    return np.array([values, floors])
+    return values, floors
 
 
 def energy_ratio_polylog(

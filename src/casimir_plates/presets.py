@@ -11,7 +11,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, List, Tuple
 
-from .config import RunConfig, SweepGrid
+import numpy as np
+
+from .config import RunConfig
 from .optics import (
     ConstantConductivity,
     PerfectElectric,
@@ -30,7 +32,7 @@ _PM = PerfectMagnetic()
 # the weak (linear in sigma) and the strong (ideal-asymptote) ends, and
 # one shared slot value per point.
 _CURVE = {
-    "sweep_grid": SweepGrid("log", 0.005, 1000.0, 25),
+    "sweep_grid": tuple(float(v) for v in np.geomspace(0.005, 1000.0, 25)),
     "sweep_shared": True,
     "rel_tol": 1e-5,
     "abs_tol": 1e-7,

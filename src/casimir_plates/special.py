@@ -397,21 +397,22 @@ def _integrate_many(
 
 
 def _integrate_floor(
-    g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec
+    g: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]], spec: QuadratureSpec
 ) -> Tuple[float, float]:
     """``int_0^1 g(t) dt`` and its total error bound, taken in ``t = x**3``.
 
     ``g(t)`` takes the ``(k, 31)`` nodes ``t`` of a whole round, one row per
-    panel (one call per round), and returns their values and noise floors
-    stacked as ``(2, k, 31)``; both are weighted by ``3 x^2``.  A sheet's
-    reflections switch on near grazing angle, TM near ``t = sigma / 2`` and
-    TE near ``t = 2 / sigma``; the map spreads those angles over more of
-    [0, 1].
+    panel (one call per round), and returns their values and noise floors,
+    each ``(k, 31)``, as `_integrate_many`'s integrands do; both are
+    weighted by ``3 x^2``.  A sheet's reflections switch on near grazing
+    angle, TM near ``t = sigma / 2`` and TE near ``t = 2 / sigma``; the map
+    spreads those angles over more of [0, 1].
     """
 
     def in_x(rows, x):
         weight = 3.0 * x * x
-        return tuple(weight * part for part in g(x**3))  # values, floors
+        values, floors = g(x**3)
+        return weight * values, weight * floors
 
     values, bounds = _integrate_many(in_x, 1, spec)
     return float(values[0]), float(bounds[0])
@@ -458,16 +459,15 @@ def _integrate_2d_bound(
     tail heuristics.  ``s^2`` stays rational, so the map adds no logarithm
     at either end: as ``s -> inf``, ``F ~ -r r' e^-s`` and the integrand in
     ``x`` vanishes faster than any power of ``1 - x``; as ``s -> 0`` it goes
-    like ``8 x^2 F(2x)``.  (In ``e^-s = x**3``, ``s^2`` was ``9 ln(x)^2``
-    and the integrand ``-27 r r' x^2 ln(x)^2``, not analytic at ``x = 0``.)
-    The caller scales frequencies so that ``s^2 e^-s``, the shape of a
-    pair's integrand, peaks at ``s = 2``, ``x = 1/2``: each inner integral
-    starts from the two panels [0, 1/2] and [1/2, 1].
+    like ``8 x^2 F(2x)``.  The caller scales frequencies so that
+    ``s^2 e^-s``, the shape of a pair's integrand, peaks at ``s = 2``,
+    ``x = 1/2``: each inner integral starts from the two panels [0, 1/2]
+    and [1/2, 1].
     """
     ispec = QuadratureSpec(spec.rel_tol * 0.1, spec.abs_tol * 0.1, spec.max_subdivisions)
 
-    def inner(t: np.ndarray) -> np.ndarray:
-        result = _integrate_many(_half_line(f(t.ravel())), t.size, ispec, (0.0, 0.5, 1.0))
-        return np.array(result).reshape((2,) + t.shape)
+    def inner(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        values, bounds = _integrate_many(_half_line(f(t.ravel())), t.size, ispec, (0.0, 0.5, 1.0))
+        return values.reshape(t.shape), bounds.reshape(t.shape)
 
     return _integrate_floor(inner, spec)

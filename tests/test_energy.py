@@ -795,7 +795,12 @@ def plain_polylog_panel(stack, t):
         raise UnitDiskRootError(str(exc), t=float(t[(*panel, node)]), pol=pol) from exc
     values = 0.0 + sums[..., 0, :] + sums[..., 1, :]
     floors = np.full(t.shape, 1e-14 * (2 * (stack.n_plates - 1)))
-    return np.array([values, floors])
+    return values, floors
+
+
+def panel_bytes(panel):
+    """The bytes of a panel's values and floors, each array as it is."""
+    return [part.tobytes() for part in panel]
 
 
 # plate factories: each call makes a new object, as perfbench and `sweep` do
@@ -841,7 +846,7 @@ class TestNodePipelineOracle:
                 m = round_trip_matrix(r, t_coef)
                 assert m.tobytes() == plain_round_trip_matrix(*plain).tobytes()
                 panel = energy_mod._polylog_panel(stack, t)
-                assert panel.tobytes() == plain_polylog_panel(stack, t).tobytes(), (kinds, k)
+                assert panel_bytes(panel) == panel_bytes(plain_polylog_panel(stack, t)), (kinds, k)
 
     def test_one_coefficients_call_per_distinct_plate_and_polarization(self, monkeypatch):
         import casimir_plates.energy as energy_mod
@@ -862,7 +867,7 @@ class TestNodePipelineOracle:
         stack = uniform_stack(plates)
         expected = plain_polylog_panel(stack, t)
         calls.clear()
-        assert energy_mod._polylog_panel(stack, t).tobytes() == expected.tobytes()
+        assert panel_bytes(energy_mod._polylog_panel(stack, t)) == panel_bytes(expected)
         assert len(calls) == 4
         assert sum(m == ConstantConductivity(0.0) for m, _ in calls) == 2
 
@@ -901,7 +906,7 @@ class TestNodePipelineOracle:
                     assert str(err.value) == str(plain)
                     raised += 1
                 else:
-                    assert energy_mod._polylog_panel(stack, t).tobytes() == expected.tobytes()
+                    assert panel_bytes(energy_mod._polylog_panel(stack, t)) == panel_bytes(expected)
         assert raised >= 12
 
 
@@ -1027,7 +1032,7 @@ class TestPolylogReferences:
         from casimir_plates.presets import preset_configs
 
         config = next(c for c in preset_configs(preset) if c.label == label)
-        exact = next(s for s in config.sweep_grid.values() if abs(s - sigma) < 1e-6 * sigma)
+        exact = next(s for s in config.sweep_grid if abs(s - sigma) < 1e-6 * sigma)
         (point,) = sweep(
             config.to_spec(),
             [exact],
@@ -1069,7 +1074,7 @@ class TestAutoTolerance:
         from casimir_plates.presets import preset_configs
 
         curve = next(c for c in preset_configs("fig2") if c.label == "sweep-N5")
-        sigma = next(s for s in curve.sweep_grid.values() if abs(s - 601.3450635) < 1e-6)
+        sigma = next(s for s in curve.sweep_grid if abs(s - 601.3450635) < 1e-6)
         cases = [
             (uniform_stack([ConstantConductivity(1.0)] * 10), QuadratureSpec()),
             (uniform_stack([ConstantConductivity(sigma)] * 5), curve.quadrature_spec()),

@@ -406,11 +406,11 @@ class TestValidation:
             "LI4_MINUS_ONE", "Material", "PRESET_NAMES",
             "PerfectElectric", "PerfectMagnetic", "Polarization", "PolylogPathError",
             "QuadratureConvergenceError", "QuadratureSpec", "RunConfig",
-            "SIGMA_GRAPHENE", "StackSpec", "SweepError", "SweepGrid",
+            "SIGMA_GRAPHENE", "StackSpec", "SweepError",
             "SweepPoint", "SweepSlot", "Transparent", "UnitDiskRootError", "ZETA4",
             "__version__", "absolute_energy", "coefficients", "delta_compositions",
             "delta_total", "energy_ratio", "energy_ratio_polylog",
-            "energy_ratio_quadrature", "format_config", "ideal_stack_ratio", "li4",
+            "energy_ratio_quadrature", "ideal_stack_ratio", "li4",
             "list_presets", "parse_config", "preset_configs", "round_trip_matrix",
             "sweep", "validate_config",
         ]

@@ -352,7 +352,7 @@ class TestIntegrateT:
 
         def g(t):
             shapes.append(t.shape)
-            return np.array([np.log(t) ** 2, np.zeros(t.shape)])
+            return np.log(t) ** 2, np.zeros(t.shape)
 
         _integrate_floor(g, QuadratureSpec())
         assert len(shapes) > 2
@@ -622,7 +622,7 @@ class TestAngularIntegral:
 
         def node(t):
             calls.append(t)
-            return np.array([g(t), np.zeros(t.shape)])
+            return g(t), np.zeros(t.shape)
 
         spec = QuadratureSpec()
         value, bound = _integrate_floor(node, spec)
@@ -634,7 +634,12 @@ class TestAngularIntegral:
         assert [t.shape[0] for t in calls] == [1] + [2] * (rounds - 1)
         assert calls[0].tolist() == [((0.5 + 0.5 * _NODES) ** 3).tolist()]
         # the plain driver on the weighted integrand ``3 x^2 g(x^3)``, one call per panel
-        weighted = _batch((lambda x: 3.0 * x * x * node(x**3),))
+        def in_x(x):
+            weight = 3.0 * x * x
+            values, floors = node(x**3)
+            return weight * values, weight * floors
+
+        weighted = _batch((in_x,))
         values, bounds = _integrate_many(weighted, 1, spec)
         assert len(calls) == rounds + 1 + 2 * (rounds - 1)
         assert (value, bound) == (float(values[0]), float(bounds[0]))
