@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,9 @@ class TestConfigGrammar:
             (SLOT + "sweep log 1 -10 5\n", "line 3: log sweeps need a positive start and stop"),
             (SLOT + "sweep log 1 0 5\n", "line 3: log sweeps need a positive start and stop"),
             (SLOT + "sweep linear 0 inf 5\n", "line 3: sweep stop must be finite"),
+            (SLOT + "sweep log 0.1 inf 3\n", "line 3: sweep stop must be finite"),
+            (SLOT + "sweep log 0.1 1 2.5\n", "line 3: sweep points must be an integer"),
+            (SLOT + "sweep log 1 10 True\n", "line 3: sweep points must be an integer"),
             (SLOT + "sweep linear -1 10 5\n", "conductivities are non-negative"),
         ],
     )
@@ -203,6 +207,42 @@ class TestConfigGrammar:
         spec = config.quadrature_spec()
         assert type(spec.rel_tol) is float and type(spec.abs_tol) is float
         assert spec.rel_tol == float(np.float32(1e-6))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_numpy_float_fields_validate_as_floats(self, dtype):
+        # a config built from numpy numbers is checked and solved as its float twin
+        def config(v):
+            return RunConfig(
+                plates=(ConstantConductivity(v(0.5)), GenericDeltaPlate(v(0.1), v(1.5)), SweepSlot()),
+                gaps=(v(1.5), v(0.75)),
+                rel_tol=v(1e-6),
+                abs_tol=v(1e-12),
+                sweep_grid=(v(0.1), v(1.0), v(10.0)),
+            )
+
+        numpy_config, twin = config(dtype), config(lambda x: float(dtype(x)))
+        validate_config(numpy_config)
+        assert numpy_config.to_spec() == twin.to_spec()
+        assert all(type(g) is float for g in numpy_config.to_spec().gaps)
+        assert numpy_config.quadrature_spec() == twin.quadrature_spec()
+        with pytest.raises(ConfigError, match="increasing"):
+            validate_config(replace(numpy_config, sweep_grid=(dtype(10.0), dtype(1.0))))
+
+    @pytest.mark.parametrize("field", ["label", "output"])
+    @pytest.mark.parametrize(
+        "word, parsed",
+        [("my#run", "my"), ("my run", None), ("", None), (" run", "run"), ("run\n", "run")],
+        ids=["my#run", "my run", "", " run", "run\n"],
+    )
+    def test_words_parse_to_one_word(self, field, word, parsed):
+        # a line splits on whitespace and '#' starts a comment, so parsed
+        # text gives one word or is refused
+        text = TWO + f"{field} {word}\n"
+        if parsed is None:
+            with pytest.raises(ConfigError, match=f"^line 3: {field} takes one"):
+                parse_config(text)
+        else:
+            assert getattr(parse_config(text), field) == parsed
 
     def test_error_carries_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
